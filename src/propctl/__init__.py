@@ -5,12 +5,9 @@ modalities move ownership between agents."""
 
 from .control import (
     characterize_second_order,
-    controls,
     delegation_can_achieve,
     geq,
-    give_program,
     grand_coalition_control,
-    second_order_controls,
 )
 from .decision import (
     counterexample,
@@ -60,10 +57,13 @@ from .syntax import (
     Test,
     Top,
     TOP,
+    controls,
+    give_program,
     parse_formula,
     parse_model,
     parse_program,
     render,
+    second_order_controls,
     signature_of,
 )
 

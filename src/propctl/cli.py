@@ -22,13 +22,14 @@ from .model import (
     serialize_model,
 )
 from .syntax import (
-    Or,
     ParseError,
+    controls,
+    disj_all,
     parse_formula,
     parse_model,
     parse_program,
     render,
-    signature_of,
+    second_order_controls,
 )
 
 
@@ -39,29 +40,6 @@ def _read_model(path: str):
 
 def _split_names(raw: str) -> tuple[str, ...]:
     return tuple(name for name in raw.replace(",", " ").split() if name)
-
-
-def _signature_for(formulas, agents: str | None, variables: str | None) -> Signature:
-    """Signature from flags; unspecified parts follow the default-signature
-    rule (the formulas' own names, plus a spare agent)."""
-    props: set[str] = set()
-    agent_names: set[str] = set()
-    for f in formulas:
-        p, a = signature_of(f)
-        props |= p
-        agent_names |= a
-    if agents is not None:
-        sig_agents = _split_names(agents) or ("_env",)
-    else:
-        spare = "_env"
-        while spare in agent_names:
-            spare += "_"
-        sig_agents = tuple(sorted(agent_names | {spare}))
-    if variables is not None:
-        sig_vars = _split_names(variables) or ("_aux",)
-    else:
-        sig_vars = tuple(sorted(props)) or ("_aux",)
-    return Signature(sig_agents, sig_vars)
 
 
 def _emit(args, record: dict, text_lines: list[str]) -> None:
@@ -102,18 +80,28 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_with_signature(text: str, agents: str | None, variables: str | None):
-    """Parse one formula, with the flag-built signature in scope when both
-    flags are present (signature-dependent sugar needs the full signature)."""
+def _parse_with_signature(texts, agents: str | None, variables: str | None):
+    """Parse the formulas and pick the signature to decide them over.
+
+    With both flags, the flag-built signature is in scope while parsing
+    (signature-dependent sugar needs the full signature).  Otherwise the
+    formulas' default signature is used, with the part a flag names
+    replaced by that flag's names (or the spare name, if it lists none).
+    """
     if agents is not None and variables is not None:
         sig = Signature(_split_names(agents), _split_names(variables))
-        return parse_formula(text, sig), sig
-    formula = parse_formula(text)
-    return formula, _signature_for([formula], agents, variables)
+        return [parse_formula(text, sig) for text in texts], sig
+    formulas = [parse_formula(text) for text in texts]
+    sig = decision.default_signature(disj_all(formulas))
+    if agents is not None:
+        sig = Signature(_split_names(agents) or ("_env",), sig.vars)
+    if variables is not None:
+        sig = Signature(sig.agents, _split_names(variables) or ("_aux",))
+    return formulas, sig
 
 
 def _cmd_sat(args) -> int:
-    formula, sig = _parse_with_signature(args.formula, args.agents, args.vars)
+    [formula], sig = _parse_with_signature([args.formula], args.agents, args.vars)
     witness = decision.satisfiable(formula, sig)
     record = {
         "command": "sat",
@@ -132,7 +120,7 @@ def _cmd_sat(args) -> int:
 
 
 def _cmd_valid(args) -> int:
-    formula, sig = _parse_with_signature(args.formula, args.agents, args.vars)
+    [formula], sig = _parse_with_signature([args.formula], args.agents, args.vars)
     cex = decision.counterexample(formula, sig)
     record = {
         "command": "valid",
@@ -149,17 +137,8 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    if args.agents is not None and args.vars is not None:
-        sig = Signature(_split_names(args.agents), _split_names(args.vars))
-        left = parse_formula(args.left, sig)
-        right = parse_formula(args.right, sig)
-    else:
-        left = parse_formula(args.left)
-        right = parse_formula(args.right)
-        if args.agents is not None or args.vars is not None:
-            sig = _signature_for([left, right], args.agents, args.vars)
-        else:
-            sig = decision.default_signature(Or(left, right))
+    [left, right], sig = _parse_with_signature([args.left, args.right],
+                                               args.agents, args.vars)
     answer = normalform.equivalent(left, right, sig)
     record = {"command": "equiv", "equivalent": answer,
               "signature": {"agents": list(sig.agents), "vars": list(sig.vars)}}
@@ -207,7 +186,7 @@ def _cmd_controls(args) -> int:
         if args.agent not in model.sig.agent_index:
             raise SignatureError(f"unknown agent {args.agent!r}")
         direct = semantics.evaluate(
-            model, control.second_order_controls(args.agent, formula, model.sig))
+            model, second_order_controls(args.agent, formula, model.sig))
         table = control.characterize_second_order(
             model.sig, model.alloc, model.val, args.agent, formula)
         record = {"command": "controls", "second_order": True, "agent": args.agent,
@@ -224,7 +203,7 @@ def _cmd_controls(args) -> int:
         raise SignatureError("first-order check needs --coalition "
                              "(an empty list means the empty coalition)")
     coalition = _split_names(args.coalition)
-    answer = semantics.evaluate(model, control.controls(coalition, formula))
+    answer = semantics.evaluate(model, controls(coalition, formula))
     record = {"command": "controls", "second_order": False,
               "coalition": sorted(coalition), "result": answer}
     _emit(args, record, ["true" if answer else "false"])

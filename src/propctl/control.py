@@ -13,17 +13,9 @@ from __future__ import annotations
 
 from . import normalform
 from .model import Allocation, Signature, SignatureError, Valuation, enumerate_allocations
-from .syntax import (  # re-exported builders
-    Formula,
-    controls,
-    give_program,
-    second_order_controls,
-)
+from .syntax import Formula
 
 __all__ = [
-    "controls",
-    "give_program",
-    "second_order_controls",
     "geq",
     "delegation_can_achieve",
     "characterize_second_order",

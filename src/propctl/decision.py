@@ -9,9 +9,9 @@ signature they were decided over.
 
 from __future__ import annotations
 
-from .model import DirectModel, Signature, enumerate_models
-from .semantics import evaluate
-from .syntax import Formula, Not, conj_all, ensure_fits, implies, signature_of
+from .model import DirectModel, Signature, Valuation, enumerate_allocations
+from .semantics import truth_rows
+from .syntax import Formula, Not, conj_all, implies, signature_of
 
 
 def _fresh(base: str, taken) -> str:
@@ -27,12 +27,7 @@ def default_signature(formula: Formula) -> Signature:
     variable only when the formula mentions none (signatures must be
     non-empty)."""
     props, agents = signature_of(formula)
-    agent_pool = set(agents)
-    agent_pool.add(_fresh("_env", agent_pool))
-    var_pool = set(props)
-    if not var_pool:
-        var_pool.add(_fresh("_aux", agent_pool))
-    return Signature(tuple(agent_pool), tuple(var_pool))
+    return Signature(tuple(agents) + (_fresh("_env", agents),), tuple(props) or ("_aux",))
 
 
 def satisfiable(formula: Formula, sig: Signature | None = None) -> DirectModel | None:
@@ -42,11 +37,10 @@ def satisfiable(formula: Formula, sig: Signature | None = None) -> DirectModel |
     """
     if sig is None:
         sig = default_signature(formula)
-    else:
-        ensure_fits(formula, sig)
-    for m in enumerate_models(sig):
-        if evaluate(m, formula):
-            return m
+    for alloc, row in zip(enumerate_allocations(sig), truth_rows(formula, sig)):
+        if row:
+            # lowest set bit: the first satisfying valuation in this row
+            return DirectModel(sig, alloc, Valuation(sig, (row & -row).bit_length() - 1))
     return None
 
 

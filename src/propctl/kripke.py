@@ -16,7 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Allocation, DirectModel, Signature, SignatureError, Valuation
+from .model import (
+    Allocation,
+    DirectModel,
+    Signature,
+    SignatureError,
+    Valuation,
+    enumerate_allocations,
+)
 from .syntax import (
     Atom,
     Choice,
@@ -128,10 +135,11 @@ def pointed_of(model: DirectModel) -> PointedKripkeModel:
 def cross_check(sig: Signature, formula: Formula) -> bool:
     """Whether both evaluators agree on every (allocation, valuation) pair."""
     from . import semantics
-    from .model import enumerate_models
 
-    ensure_fits(formula, sig)
-    for m in enumerate_models(sig):
-        if semantics.evaluate(m, formula) != evaluate(pointed_of(m), formula):
-            return False
+    rows = semantics.truth_rows(formula, sig)
+    for alloc, row in zip(enumerate_allocations(sig), rows):
+        for bits in range(1 << len(sig.vars)):
+            pm = PointedKripkeModel(sig, alloc, Valuation(sig, bits))
+            if bool(row >> bits & 1) != _eval_k(pm, formula):
+                return False
     return True

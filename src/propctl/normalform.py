@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import semantics
-from .model import (
-    Allocation,
-    DirectModel,
-    Signature,
-    Valuation,
-    enumerate_allocations,
-)
+from .model import Allocation, Signature, Valuation, enumerate_allocations
 from .syntax import (
     Atom,
     Formula,
@@ -33,7 +27,6 @@ from .syntax import (
     conj_all,
     controls,
     disj_all,
-    ensure_fits,
 )
 
 
@@ -70,16 +63,7 @@ class NormalForm:
 
 def normal_form(formula: Formula, sig: Signature) -> NormalForm:
     """Evaluate the formula on every model of the signature and tabulate."""
-    ensure_fits(formula, sig)
-    rows = []
-    for alloc in enumerate_allocations(sig):
-        row = 0
-        for bits in range(1 << len(sig.vars)):
-            m = DirectModel(sig, alloc, Valuation(sig, bits))
-            if semantics.evaluate(m, formula):
-                row |= 1 << bits
-        rows.append(row)
-    return NormalForm(sig, tuple(rows))
+    return NormalForm(sig, tuple(semantics.truth_rows(formula, sig)))
 
 
 def valuation_description(sig: Signature, val: Valuation) -> Formula:

@@ -10,11 +10,17 @@ Iteration is computed as an exact breadth-first fixpoint over the reachable
 models rather than a depth-bounded search: programs never change the
 valuation, so the reachable set varies only in the allocation and the
 fixpoint closes within (number of allocations) rounds.
+
+``truth_rows`` is the one pass that evaluates a formula over every model of
+a signature; satisfiability, validity, normal forms and the evaluator
+cross-check are all queries on the rows it yields.
 """
 
 from __future__ import annotations
 
-from .model import DirectModel, SignatureError, Valuation
+from typing import Iterator
+
+from .model import DirectModel, Signature, SignatureError, Valuation, enumerate_allocations
 from .syntax import (
     Atom,
     Choice,
@@ -89,16 +95,23 @@ def _image(model: DirectModel, p: Program) -> set[DirectModel]:
     if isinstance(p, Choice):
         return _image(model, p.left) | _image(model, p.right)
     if isinstance(p, Star):
-        reached = {model}
-        frontier = {model}
-        while frontier:
-            new: set[DirectModel] = set()
-            for m in frontier:
-                new |= _image(m, p.body)
-            frontier = new - reached
-            reached |= frontier
-        return reached
+        return set().union(*_frontiers(model, p.body))
     raise TypeError(f"not a core program: {p!r}")
+
+
+def _frontiers(model: DirectModel, program: Program) -> Iterator[set[DirectModel]]:
+    """Breadth-first frontiers of iterating the program from the model:
+    first ``{model}``, then each round's newly reached models, until a
+    round reaches nothing new."""
+    reached = {model}
+    frontier = {model}
+    while frontier:
+        yield frontier
+        new: set[DirectModel] = set()
+        for m in frontier:
+            new |= _image(m, program)
+        frontier = new - reached
+        reached |= frontier
 
 
 def evaluate(model: DirectModel, formula: Formula) -> bool:
@@ -129,15 +142,25 @@ def star_depth(model: DirectModel, program: Program) -> int:
     the conjunction of the 0..B-fold boxed bodies.
     """
     ensure_fits(program, model.sig)
-    reached = {model}
-    frontier = {model}
-    depth = 0
-    while True:
-        new: set[DirectModel] = set()
-        for m in frontier:
-            new |= _image(m, program)
-        frontier = new - reached
-        if not frontier:
-            return depth
-        reached |= frontier
-        depth += 1
+    return sum(1 for _ in _frontiers(model, program)) - 1
+
+
+def truth_rows(formula: Formula, sig: Signature) -> Iterator[int]:
+    """Per allocation, in canonical order, the bitmask of the valuations
+    satisfying the formula (bit ``b`` for ``Valuation(sig, b)``).
+
+    The fit check runs once, here; rows are computed lazily, so a caller
+    that stops early skips the remaining allocations.
+    """
+    ensure_fits(formula, sig)
+    return _rows(formula, sig)
+
+
+def _rows(formula: Formula, sig: Signature) -> Iterator[int]:
+    valuations = [Valuation(sig, bits) for bits in range(1 << len(sig.vars))]
+    for alloc in enumerate_allocations(sig):
+        row = 0
+        for val in valuations:
+            if _eval(DirectModel(sig, alloc, val), formula):
+                row |= 1 << val.bits
+        yield row

@@ -258,12 +258,21 @@ def second_order_controls(agent: str, body: Formula, sig: Signature) -> Formula:
 
 def signature_of(node) -> tuple[frozenset[str], frozenset[str]]:
     """All variables and agents named anywhere in a formula or program,
-    including inside programs and tests."""
+    including inside programs and tests.
+
+    Sugar shares subtrees (``<->`` uses each operand twice), so the walk
+    visits each node object once, keyed on identity: hashing the frozen
+    dataclasses would itself walk the whole tree.
+    """
     props: set[str] = set()
     agents: set[str] = set()
+    seen: set[int] = set()
     stack = [node]
     while stack:
         cur = stack.pop()
+        if id(cur) in seen:
+            continue
+        seen.add(id(cur))
         if isinstance(cur, Top):
             pass
         elif isinstance(cur, Atom):

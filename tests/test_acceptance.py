@@ -13,11 +13,8 @@ from propctl import kripke, semantics
 from propctl.axioms import Scheme, axiom_suite, check_scheme, make_context
 from propctl.control import (
     characterize_second_order,
-    controls,
     delegation_can_achieve,
-    give_program,
     grand_coalition_control,
-    second_order_controls,
 )
 from propctl.decision import satisfiable, valid
 from propctl.model import (
@@ -39,10 +36,13 @@ from propctl.syntax import (
     TOP,
     box_prog,
     conj,
+    controls,
+    give_program,
     iff,
     implies,
     parse_formula,
     parse_program,
+    second_order_controls,
     seq_all,
 )
 

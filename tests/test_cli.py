@@ -4,6 +4,7 @@ import pytest
 
 from propctl import semantics
 from propctl.cli import main
+from propctl.decision import default_signature
 from propctl.model import model_from_dict
 from propctl.syntax import parse_formula, parse_model, parse_program
 
@@ -142,6 +143,18 @@ def test_signature_flags_enable_signature_sugar(capsys):
     code, _, _ = run_cli(capsys, "valid", "dia{1}(p) -> <giveall(1)*>dia{1}(p)",
                          "--agents", "1,2", "--vars", "p,q")
     assert code == 0
+
+
+def test_default_signature_agrees_across_commands(capsys):
+    # an agent named like the spare variable must not rename the variable
+    text = "dia{_aux} true"
+    sig = default_signature(parse_formula(text))
+    expected = {"agents": list(sig.agents), "vars": list(sig.vars)}
+    assert expected == {"agents": ["_aux", "_env"], "vars": ["_aux"]}
+    for argv in (["valid", text], ["sat", text], ["equiv", text, "true"]):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["signature"] == expected, argv[0]
 
 
 def test_equiv(capsys):

@@ -5,12 +5,9 @@ import pytest
 
 from propctl.control import (
     characterize_second_order,
-    controls,
     delegation_can_achieve,
     geq,
-    give_program,
     grand_coalition_control,
-    second_order_controls,
 )
 from propctl.decision import satisfiable, valid
 from propctl.model import (
@@ -32,9 +29,12 @@ from propctl.syntax import (
     TOP,
     conj,
     conj_all,
+    controls,
+    give_program,
     implies,
     is_objective,
     parse_formula,
+    second_order_controls,
     signature_of,
 )
 

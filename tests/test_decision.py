@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from propctl import syntax
 from propctl.axioms import (
     Budget,
     Scheme,
@@ -73,6 +74,12 @@ def test_default_signature_freshens_on_collision():
     assert len(sig.agents) == 2  # _env plus a fresh spare
 
 
+def test_default_signature_spare_variable_ignores_agent_names():
+    sig = default_signature(parse_formula("dia{_aux} true"))
+    assert sig.agents == ("_aux", "_env")
+    assert sig.vars == ("_aux",)
+
+
 # --- satisfiability and validity ---------------------------------------------
 
 def test_contradiction_unsatisfiable():
@@ -100,6 +107,24 @@ def test_witness_is_deterministic_first_in_enumeration():
         if evaluate(m, f):
             assert m == first
             break
+
+
+def test_one_fit_check_per_query(monkeypatch):
+    # the signature walk runs once per query, not once per model
+    calls = []
+
+    def counting(node):
+        calls.append(node)
+        return real(node)
+
+    real = syntax.signature_of
+    monkeypatch.setattr(syntax, "signature_of", counting)
+    sig = Signature(("1", "2"), ("p", "q"))
+    f = parse_formula("dia{1}(p) -> <give(1,p,2)*>dia{2}(p | q)")
+    for query in (valid, satisfiable, counterexample, normal_form):
+        calls.clear()
+        query(f, sig)
+        assert len(calls) == 1, query.__name__
 
 
 def test_validity_goldens():

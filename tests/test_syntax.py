@@ -215,6 +215,17 @@ def test_signature_of_walks_coalitions():
     assert signature_of(f) == (frozenset({"p", "q", "r"}), frozenset({"1", "2"}))
 
 
+def test_signature_of_walks_shared_nodes_once():
+    # 60 doublings: 61 distinct nodes, 2**60 root-to-leaf paths
+    f = DiaProg(Give("i", "p", "j"), Dia(frozenset({"1"}), Q))
+    for _ in range(60):
+        f = Or(f, f)
+    assert signature_of(f) == (frozenset({"p", "q"}), frozenset({"1", "i", "j"}))
+    # <-> sugar uses each operand twice
+    chain = parse_formula(" <-> ".join(f"p{i}" for i in range(18)))
+    assert signature_of(chain) == (frozenset(f"p{i}" for i in range(18)), frozenset())
+
+
 # --- rendering -------------------------------------------------------------
 
 def test_render_goldens():
