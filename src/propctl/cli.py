@@ -2,9 +2,12 @@
 
 Every subcommand is a thin shell over one library call.  Exit codes:
 0 for a positive answer (true / satisfiable / valid / equivalent),
-1 for the negative answer, 2 for syntax errors in any input, and
-3 for signature violations (identifiers outside the model or signature
-in scope).  ``--json`` switches each command to a machine-readable record.
+1 for the negative answer, 2 for syntax errors in any input (formula,
+program or model file), 3 for signature violations (identifiers outside
+the model or signature in scope, including an unknown agent inside
+``CONTROLS`` or ``giveall``), 4 for a file that cannot be read, and 5 for
+any other failure, reported in one line on stderr without a traceback.
+``--json`` switches each command to a machine-readable record.
 """
 
 from __future__ import annotations
@@ -83,21 +86,20 @@ def _cmd_run(args) -> int:
 def _parse_with_signature(texts, agents: str | None, variables: str | None):
     """Parse the formulas and pick the signature to decide them over.
 
-    With both flags, the flag-built signature is in scope while parsing
-    (signature-dependent sugar needs the full signature).  Otherwise the
-    formulas' default signature is used, with the part a flag names
-    replaced by that flag's names (or the spare name, if it lists none).
+    A flag replaces its part of the signature with the names it lists, or
+    with the spare name (``_env`` or ``_aux``) if it lists none.  With both
+    flags, that signature is in scope while parsing (signature-dependent
+    sugar needs the full signature).  Otherwise the formulas' default
+    signature supplies the part no flag names.
     """
-    if agents is not None and variables is not None:
-        sig = Signature(_split_names(agents), _split_names(variables))
+    agent_names = None if agents is None else _split_names(agents) or ("_env",)
+    var_names = None if variables is None else _split_names(variables) or ("_aux",)
+    if agent_names is not None and var_names is not None:
+        sig = Signature(agent_names, var_names)
         return [parse_formula(text, sig) for text in texts], sig
     formulas = [parse_formula(text) for text in texts]
     sig = decision.default_signature(disj_all(formulas))
-    if agents is not None:
-        sig = Signature(_split_names(agents) or ("_env",), sig.vars)
-    if variables is not None:
-        sig = Signature(sig.agents, _split_names(variables) or ("_aux",))
-    return formulas, sig
+    return formulas, Signature(agent_names or sig.agents, var_names or sig.vars)
 
 
 def _cmd_sat(args) -> int:
@@ -183,8 +185,6 @@ def _cmd_controls(args) -> int:
     if args.second_order:
         if not args.agent:
             raise SignatureError("--second-order needs --agent")
-        if args.agent not in model.sig.agent_index:
-            raise SignatureError(f"unknown agent {args.agent!r}")
         direct = semantics.evaluate(
             model, second_order_controls(args.agent, formula, model.sig))
         table = control.characterize_second_order(
@@ -323,9 +323,13 @@ def main(argv=None) -> int:
     except SignatureError as err:
         print(f"signature error: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3
+        return 4
+    except Exception as err:
+        # The command boundary: no input may end in a traceback or in exit 1.
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -47,15 +47,8 @@ def _row_reachable(sig: Signature, alloc: Allocation, val: Valuation,
         row = rows[idx]
         if row == 0 or not geq(alloc, target, agent):
             continue
-        kept = target.controlled_mask({agent})
-        base = val.bits & ~kept
-        s = 0
-        while True:
-            if row >> (base | s) & 1:
-                return True
-            if s == kept:
-                break
-            s = (s - kept) & kept
+        if any(row >> bits & 1 for bits in target.reassignments({agent}, val.bits)):
+            return True
     return False
 
 

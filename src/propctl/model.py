@@ -130,6 +130,19 @@ class Allocation:
                 mask |= 1 << j
         return mask
 
+    def reassignments(self, coalition, bits: int) -> Iterator[int]:
+        """Every valuation, as bits, that the coalition can make from ``bits``
+        by assigning its own variables; the other variables keep their
+        values.  Ascending, starting with all of the coalition's false."""
+        mask = self.controlled_mask(coalition)
+        base = bits & ~mask
+        s = 0
+        while True:
+            yield base | s
+            if s == mask:
+                return
+            s = (s - mask) & mask
+
     def move(self, var: str, to_agent: str) -> Allocation:
         j = self.sig.var_index[var]
         i = self.sig.agent_index[to_agent]
@@ -321,6 +334,8 @@ def model_from_dict(data: Mapping) -> DirectModel:
     sig = Signature(tuple(data["agents"]), tuple(data["vars"]))
     owner_by_var: dict[str, str] = {}
     for agent, owned in data["owns"].items():
+        if agent not in sig.agent_index:
+            raise SignatureError(f"owns entry for unknown agent {agent!r}")
         for p in owned:
             if p in owner_by_var:
                 raise SignatureError(f"variable {p!r} owned twice")

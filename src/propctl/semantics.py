@@ -39,16 +39,6 @@ from .syntax import (
 )
 
 
-def _sub_masks(mask: int):
-    """All subsets of a bitmask, ascending, starting with 0."""
-    s = 0
-    while True:
-        yield s
-        if s == mask:
-            return
-        s = (s - mask) & mask
-
-
 def _with_bits(model: DirectModel, bits: int) -> DirectModel:
     return DirectModel(model.sig, model.alloc, Valuation(model.sig, bits))
 
@@ -63,10 +53,8 @@ def _eval(model: DirectModel, f: Formula) -> bool:
     if isinstance(f, Or):
         return _eval(model, f.left) or _eval(model, f.right)
     if isinstance(f, Dia):
-        mask = model.alloc.controlled_mask(f.coalition)
-        base = model.val.bits & ~mask
-        for s in _sub_masks(mask):
-            if _eval(_with_bits(model, base | s), f.body):
+        for bits in model.alloc.reassignments(f.coalition, model.val.bits):
+            if _eval(_with_bits(model, bits), f.body):
                 return True
         return False
     if isinstance(f, DiaProg):

@@ -39,12 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
-    Allocation,
     DirectModel,
     Signature,
     SignatureError,
-    Valuation,
     is_valid_name,
+    model_from_dict,
 )
 
 
@@ -327,6 +326,8 @@ KEYWORDS = {
     "if", "then", "else", "while", "do", "repeat", "until",
 }
 
+_PROGRAM_KEYWORDS = {"give", "giveall", "test", "skip", "fail", "if", "while", "repeat"}
+
 _SYMBOLS = ("<->", "->", "(", ")", "{", "}", "[", "]", "<", ">",
             "~", "&", "|", ";", "+", "*", "?", ",")
 
@@ -401,6 +402,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = sig
+        # A group that group() has already read; the next unary() or base()
+        # returns it as its operand.
+        self.read_ahead: Formula | Program | None = None
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -481,6 +485,9 @@ class _Parser:
         return out
 
     def unary(self) -> Formula:
+        if self.read_ahead is not None:
+            out, self.read_ahead = self.read_ahead, None
+            return out
         if self.accept("~"):
             return Not(self.unary())
         if self.at("keyword", "dia"):
@@ -517,15 +524,13 @@ class _Parser:
             self.expect(")")
             return controls(c, body)
         if self.at("keyword", "CONTROLS"):
-            tok = self.next()
+            self.next()
             sig = self.need_sig("CONTROLS")
             self.expect("(")
             agent = self.name("agent name")
             self.expect(",")
             body = self.formula()
             self.expect(")")
-            if agent not in sig.agent_index:
-                raise ParseError(f"unknown agent {agent!r}", tok.line, tok.col)
             return second_order_controls(agent, body, sig)
         if self.accept("("):
             out = self.formula()
@@ -556,6 +561,9 @@ class _Parser:
         return out
 
     def base(self) -> Program:
+        if self.read_ahead is not None:
+            out, self.read_ahead = self.read_ahead, None
+            return out
         if self.at("keyword", "give"):
             self.next()
             self.expect("(")
@@ -573,16 +581,11 @@ class _Parser:
             if self.at("name") and self.tokens[self.pos + 1].kind == ")":
                 agent = self.name("agent name")
                 self.expect(")")
-                if agent not in sig.agent_index:
-                    raise ParseError(f"unknown agent {agent!r}", tok.line, tok.col)
                 return give_program({agent}, sig.agents, sig)
             givers = self.coalition()
             self.expect("->")
             receivers = self.coalition()
             self.expect(")")
-            for a in givers | receivers:
-                if a not in sig.agent_index:
-                    raise ParseError(f"unknown agent {a!r}", tok.line, tok.col)
             if not givers:
                 raise ParseError("giveall needs a non-empty giving coalition",
                                  tok.line, tok.col)
@@ -620,21 +623,32 @@ class _Parser:
             cond = self.formula()
             return Seq(Seq(body, Star(Seq(Test(Not(cond)), body))), Test(cond))
         if self.at("("):
-            # Either a test "(formula)?" or a parenthesized program.
-            saved = self.pos
-            try:
-                self.next()
-                cond = self.formula()
-                self.expect(")")
-                self.expect("?")
-                return Test(cond)
-            except ParseError:
-                self.pos = saved
-            self.next()
-            out = self.program()
-            self.expect(")")
-            return out
+            out = self.group()
+            if isinstance(out, Program):
+                return out
+            self.expect("?")
+            return Test(out)
         raise self.fail(f"expected a program, got {self.peek().text or 'end of input'!r}")
+
+    def group(self) -> Formula | Program:
+        """A parenthesized group in program position, read in one pass: a
+        program, or a formula that the caller makes a test with the "?"
+        after the group.  The first token decides, except for a leading
+        "(": that inner group is read first and becomes the leftmost
+        operand of whichever kind it turned out to be."""
+        self.expect("(")
+        if self.at("("):
+            inner = self.group()
+            if isinstance(inner, Formula) and self.accept("?"):
+                inner = Test(inner)
+            self.read_ahead = inner
+            out = self.program() if isinstance(inner, Program) else self.formula()
+        elif self.peek().kind == "keyword" and self.peek().text in _PROGRAM_KEYWORDS:
+            out = self.program()
+        else:
+            out = self.formula()
+        self.expect(")")
+        return out
 
     def done(self) -> None:
         tok = self.peek()
@@ -670,7 +684,7 @@ def parse_model(text: str) -> DirectModel:
 
     Expected lines: ``agents: a b``, ``vars: p q``, one ``owns a: p q`` per
     agent, and ``true: p``.  ``#`` starts a comment.  Every variable must be
-    owned by exactly one agent.
+    owned by exactly one agent; ``model_from_dict`` checks that.
     """
     agents: list[str] | None = None
     variables: list[str] | None = None
@@ -721,29 +735,11 @@ def parse_model(text: str) -> DirectModel:
     if true_vars is None:
         raise ParseError("model needs a true line (possibly empty)", 1, 1)
 
-    agent_set = set(agents)
-    var_set = set(variables)
-    owner_by_var: dict[str, str] = {}
-    for agent, owned in owns.items():
-        if agent not in agent_set:
-            raise ParseError(f"owns line for unknown agent {agent!r}", 1, 1)
-        for p in owned:
-            if p not in var_set:
-                raise ParseError(f"owns line mentions unknown variable {p!r}", 1, 1)
-            if p in owner_by_var:
-                raise ParseError(f"variable {p!r} owned twice", 1, 1)
-            owner_by_var[p] = agent
-    unowned = sorted(var_set - set(owner_by_var))
-    if unowned:
-        raise ParseError("unowned variable(s): " + ", ".join(unowned), 1, 1)
-    for p in true_vars:
-        if p not in var_set:
-            raise ParseError(f"true line mentions unknown variable {p!r}", 1, 1)
-
-    sig = Signature(tuple(agents), tuple(variables))
-    alloc = Allocation.from_map(sig, owner_by_var)
-    val = Valuation.from_true_vars(sig, true_vars)
-    return DirectModel(sig, alloc, val)
+    data = {"agents": agents, "vars": variables, "owns": owns, "true": true_vars}
+    try:
+        return model_from_dict(data)
+    except SignatureError as err:
+        raise ParseError(str(err), 1, 1) from None
 
 
 # ---------------------------------------------------------------------------

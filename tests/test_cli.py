@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from propctl import semantics
 from propctl.cli import main
@@ -157,6 +161,20 @@ def test_default_signature_agrees_across_commands(capsys):
         assert json.loads(out)["signature"] == expected, argv[0]
 
 
+def test_empty_flag_means_spare_name_with_or_without_the_other(capsys):
+    # the other flag names what the default signature would give anyway
+    cases = (
+        ("p", ["--agents", ""], ["--vars", "p"], {"agents": ["_env"], "vars": ["p"]}),
+        ("dia{1} true", ["--vars", ""], ["--agents", "1,_env"],
+         {"agents": ["1", "_env"], "vars": ["_aux"]}),
+    )
+    for text, empty, other, expected in cases:
+        for extra in ([], other):
+            code, out, _ = run_cli(capsys, "valid", text, *empty, *extra, "--json")
+            assert code in (0, 1), (empty, extra)
+            assert json.loads(out)["signature"] == expected, (empty, extra)
+
+
 def test_equiv(capsys):
     code, out, _ = run_cli(capsys, "equiv", "p -> q", "~p | q")
     assert code == 0 and out.strip() == "equivalent"
@@ -229,3 +247,75 @@ def test_model_file_error_exit_two(tmp_path, capsys):
     bad.write_text("agents: 1\nvars: p\nowns 1: p\nowns 1: p\ntrue:\n")
     code, _, err = run_cli(capsys, "check", "--model", str(bad), "--formula", "p")
     assert code == 2
+
+
+def test_unknown_agent_in_signature_sugar_exit_three(model_file, capsys):
+    for text in ("CONTROLS(zz,p)", "<giveall(zz)>p", "<giveall({1} -> {zz})>p"):
+        code, _, err = run_cli(capsys, "check", "--model", model_file, "--formula", text)
+        assert code == 3, text
+        assert "unknown agent 'zz'" in err
+    code, _, err = run_cli(capsys, "controls", "--model", model_file, "--formula", "p",
+                           "--second-order", "--agent", "zz")
+    assert code == 3
+    assert "unknown agent 'zz'" in err
+
+
+def test_missing_file_exit_four(tmp_path, model_file, capsys):
+    missing = str(tmp_path / "missing.model")
+    code, _, err = run_cli(capsys, "check", "--model", missing, "--formula", "p")
+    assert code == 4
+    assert "missing.model" in err
+    code, _, err = run_cli(capsys, "check", "--model", model_file, "--formula-file", missing)
+    assert code == 4
+
+
+def test_unexpected_failure_exit_five_without_traceback(model_file, capsys):
+    # parses, but evaluating 600 nested conjunctions exceeds the recursion limit
+    code, out, err = run_cli(capsys, "check", "--model", model_file,
+                             "--formula", " & ".join(["p"] * 600))
+    assert code == 5
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "RecursionError" in err and "Traceback" not in err
+
+
+_FUZZ_TOKENS = [
+    "p", "q", "1", "2", "zz", "true", "false", "~", "&", "|", "->", "<->",
+    "(", ")", "?", "<", ">", "[", "]", "{", "}", ",", ";", "+", "*",
+    "dia", "box", "controls", "CONTROLS", "give", "giveall", "test", "skip",
+    "fail", "if", "then", "else", "while", "do", "repeat", "until", "#", "$",
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "two.model"
+    path.write_text("agents: 1 2\nvars: p q\nowns 1: p\nowns 2: q\ntrue: p\n")
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["check", "sat", "valid"]),
+       tokens=st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=16),
+       joiner=st.sampled_from([" ", ""]),
+       agents=st.sampled_from([None, "1", "1,2"]),
+       variables=st.sampled_from([None, "p", "p,q"]))
+def test_cli_fuzz_exits_with_documented_code(fuzz_model_file, command, tokens, joiner,
+                                             agents, variables):
+    text = joiner.join(tokens)
+    if command == "check":
+        argv = ["check", "--model", fuzz_model_file, f"--formula={text}"]
+    else:
+        argv = [command]
+        if agents is not None:
+            argv += ["--agents", agents]
+        if variables is not None:
+            argv += ["--vars", variables]
+        argv += ["--", text]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(6), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code >= 2:
+        assert len(err.getvalue().splitlines()) == 1

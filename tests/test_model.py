@@ -18,7 +18,7 @@ from propctl.model import (
     model_to_dict,
     serialize_model,
 )
-from propctl.syntax import parse_model
+from propctl.syntax import ParseError, parse_model
 
 from helpers import SAMPLE_MODEL_TEXT, sample_model
 
@@ -167,6 +167,15 @@ def test_serialize_golden():
 def test_dict_round_trip():
     m = sample_model()
     assert model_from_dict(model_to_dict(m)) == m
+
+
+def test_owns_entry_for_unknown_agent_is_rejected():
+    data = model_to_dict(sample_model())
+    data["owns"]["zz"] = []
+    with pytest.raises(SignatureError, match="unknown agent 'zz'"):
+        model_from_dict(data)
+    with pytest.raises(ParseError, match="unknown agent 'zz'"):
+        parse_model(SAMPLE_MODEL_TEXT + "owns zz:\n")
 
 
 def test_models_are_hashable_values():

@@ -2,6 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from propctl import syntax
 from propctl.model import Signature, SignatureError
 from propctl.syntax import (
     Atom,
@@ -123,6 +124,36 @@ def test_parse_test_forms():
     assert parse_program("(p & q)?") == Test(conj(P, Q))
 
 
+def test_parenthesized_groups_golden():
+    assert parse_program("((p) | q)?") == Test(Or(P, Q))
+    assert parse_program("((p)?; skip)") == Seq(Test(P), Test(TOP))
+    assert parse_program("((p))?") == Test(P)
+    assert parse_program("(((give(1,p,2))))*") == Star(Give("1", "p", "2"))
+    assert parse_program("((<((p)?)*>q) -> r)?") == Test(implies(DiaProg(Star(Test(P)), Q), R))
+    with pytest.raises(ParseError):
+        parse_program("(p)")
+
+
+def test_nested_groups_parse_in_linear_time(monkeypatch):
+    calls = 0
+    base = syntax._Parser.base
+
+    def counting_base(parser):
+        nonlocal calls
+        calls += 1
+        return base(parser)
+
+    monkeypatch.setattr(syntax._Parser, "base", counting_base)
+    for levels in (10, 14, 40):
+        text = "skip"
+        for _ in range(levels):
+            text = f"((<{text}>true)?; skip)"
+        calls = 0
+        parse_program(text)
+        # a parser that backtracks at "(" doubles the count per level
+        assert calls <= 4 * levels, (levels, calls)
+
+
 def test_choice_binds_weaker_than_seq():
     a, b, c, d = (Give("1", "p", "2"), Give("2", "p", "1"),
                   Give("1", "q", "2"), Give("2", "q", "1"))
@@ -168,6 +199,13 @@ def test_giveall_coalition_form():
     sig = Signature(("1", "2", "3"), ("p",))
     got = parse_program("giveall({1,2} -> {3})", sig)
     assert got == give_program({"1", "2"}, {"3"}, sig)
+
+
+def test_unknown_agent_in_signature_sugar_is_signature_error():
+    sig = Signature(("1", "2"), ("p",))
+    for text in ("CONTROLS(zz, p)", "<giveall(zz)>p", "<giveall({1} -> {zz})>p"):
+        with pytest.raises(SignatureError, match="unknown agent 'zz'"):
+            parse_formula(text, sig)
 
 
 def test_giveall_requires_signature():
