@@ -21,6 +21,7 @@ from .axioms import Budget, axiom_suite
 from .model import (
     Signature,
     SignatureError,
+    enumerate_allocations,
     model_to_dict,
     serialize_model,
 )
@@ -152,20 +153,12 @@ def _cmd_nf(args) -> int:
     sig = Signature(_split_names(args.agents), _split_names(args.vars))
     formula = parse_formula(args.formula, sig)
     nf = normalform.normal_form(formula, sig)
-    from .model import enumerate_allocations
-
     rows = []
     for alloc in enumerate_allocations(sig):
         alloc_text = " & ".join(f"controls({alloc.owner(p)},{p})" for p in sig.vars)
-        sats = nf.satisfying(alloc)
-        if not sats:
-            val_text = "false"
-        else:
-            val_text = " | ".join(
-                " & ".join(p if val.value(p) else f"~{p}" for p in sig.vars)
-                for val in sats
-            )
-        rows.append((alloc_text, val_text))
+        val_text = " | ".join(" & ".join(p if val.value(p) else f"~{p}" for p in sig.vars)
+                              for val in nf.satisfying(alloc))
+        rows.append((alloc_text, val_text or "false"))
     record = {
         "command": "nf",
         "rows": [{"allocation": a, "valuations": v} for a, v in rows],

@@ -4,16 +4,16 @@ First-order control is the ability to settle a formula's truth by assigning
 values to owned variables.  Second-order control adds delegation: an agent
 may first redistribute its variables among the other agents and only then
 assign values to whatever it kept.  The characterization here decides
-second-order control from the normal-form table alone: the agent needs a
-reachable allocation and a satisfying valuation it can still steer to, on
-both the formula and its complement.
+second-order control from truth tables alone: the agent needs a reachable
+allocation and a satisfying valuation it can still steer to, on both the
+formula and its complement.
 """
 
 from __future__ import annotations
 
-from . import normalform
-from .model import Allocation, Signature, SignatureError, Valuation, enumerate_allocations
-from .syntax import Formula
+from . import normalform, semantics
+from .model import Allocation, Signature, SignatureError, Valuation
+from .syntax import Dia, Formula, Not
 
 __all__ = [
     "geq",
@@ -38,37 +38,38 @@ def geq(alloc: Allocation, other: Allocation, agent: str) -> bool:
     return True
 
 
-def _row_reachable(sig: Signature, alloc: Allocation, val: Valuation,
-                   agent: str, rows: tuple[int, ...]) -> bool:
-    # A target allocation must be reachable by giving away, and some
-    # satisfying valuation there must agree with the current one outside
-    # the variables the agent still holds at the target.
-    for idx, target in enumerate(enumerate_allocations(sig)):
-        row = rows[idx]
-        if row == 0 or not geq(alloc, target, agent):
-            continue
-        if any(row >> bits & 1 for bits in target.reassignments({agent}, val.bits)):
-            return True
-    return False
+def _reach(sig: Signature, alloc: Allocation, val: Valuation, agent: str,
+           formulas: list[Formula]) -> bool:
+    """Whether the agent can reach a position to make each formula true.
+
+    For each formula, some allocation reachable by giving away must have
+    the current valuation in its row of ``dia{agent} formula``: the agent
+    can then steer to a satisfying valuation with the variables it still
+    holds.  The rows come from one walk over all the formulas.
+    """
+    if agent not in sig.agent_index or alloc.sig != sig:
+        # ``geq`` refuses these, once the first formula has a model at all
+        if any(semantics.truth_rows(formulas[0], sig)):
+            geq(alloc, Allocation.from_index(sig, 0), agent)
+        return False
+    coalition = frozenset({agent})
+    return all(any(row >> val.bits & 1 and geq(alloc, Allocation.from_index(sig, idx), agent)
+                   for idx, row in enumerate(rows))
+               for rows in semantics.truth_rows_each([Dia(coalition, f) for f in formulas], sig))
 
 
 def delegation_can_achieve(sig: Signature, alloc: Allocation, val: Valuation,
                            agent: str, formula: Formula) -> bool:
     """Whether the agent can reach a position to make the formula true by
     first giving variables away and then assigning its remaining ones."""
-    nf = normalform.normal_form(formula, sig)
-    return _row_reachable(sig, alloc, val, agent, nf.rows)
+    return _reach(sig, alloc, val, agent, [formula])
 
 
 def characterize_second_order(sig: Signature, alloc: Allocation, val: Valuation,
                               agent: str, formula: Formula) -> bool:
     """Table-based decision of second-order control: the delegation move
     must be available both for the formula and for its complement."""
-    nf = normalform.normal_form(formula, sig)
-    return (
-        _row_reachable(sig, alloc, val, agent, nf.rows)
-        and _row_reachable(sig, alloc, val, agent, nf.complement().rows)
-    )
+    return _reach(sig, alloc, val, agent, [formula, Not(formula)])
 
 
 def grand_coalition_control(formula: Formula, sig: Signature) -> bool:

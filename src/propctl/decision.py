@@ -9,7 +9,7 @@ signature they were decided over.
 
 from __future__ import annotations
 
-from .model import DirectModel, Signature, Valuation, enumerate_allocations
+from .model import Allocation, DirectModel, Signature, Valuation
 from .semantics import truth_rows
 from .syntax import Formula, Not, conj_all, implies, signature_of
 
@@ -37,19 +37,18 @@ def satisfiable(formula: Formula, sig: Signature | None = None) -> DirectModel |
     """
     if sig is None:
         sig = default_signature(formula)
-    for alloc, row in zip(enumerate_allocations(sig), truth_rows(formula, sig)):
+    for idx, row in enumerate(truth_rows(formula, sig)):
         if row:
             # lowest set bit: the first satisfying valuation in this row
-            return DirectModel(sig, alloc, Valuation(sig, (row & -row).bit_length() - 1))
+            return DirectModel(sig, Allocation.from_index(sig, idx),
+                               Valuation(sig, (row & -row).bit_length() - 1))
     return None
 
 
 def valid(formula: Formula, sig: Signature | None = None) -> bool:
     """Whether the formula holds in every model of the signature (default:
     the formula's own default signature)."""
-    if sig is None:
-        sig = default_signature(formula)
-    return satisfiable(Not(formula), sig) is None
+    return counterexample(formula, sig) is None
 
 
 def counterexample(formula: Formula, sig: Signature | None = None) -> DirectModel | None:

@@ -130,19 +130,6 @@ class Allocation:
                 mask |= 1 << j
         return mask
 
-    def reassignments(self, coalition, bits: int) -> Iterator[int]:
-        """Every valuation, as bits, that the coalition can make from ``bits``
-        by assigning its own variables; the other variables keep their
-        values.  Ascending, starting with all of the coalition's false."""
-        mask = self.controlled_mask(coalition)
-        base = bits & ~mask
-        s = 0
-        while True:
-            yield base | s
-            if s == mask:
-                return
-            s = (s - mask) & mask
-
     def move(self, var: str, to_agent: str) -> Allocation:
         j = self.sig.var_index[var]
         i = self.sig.agent_index[to_agent]
@@ -153,10 +140,13 @@ class Allocation:
     def index(self) -> int:
         """Canonical position among all allocations (variable 0 least significant)."""
         n = len(self.sig.agents)
-        idx = 0
-        for j in range(len(self.owners) - 1, -1, -1):
-            idx = idx * n + self.owners[j]
-        return idx
+        return sum(owner * n**j for j, owner in enumerate(self.owners))
+
+    @classmethod
+    def from_index(cls, sig: Signature, idx: int) -> Allocation:
+        """The allocation at a canonical position; the inverse of ``index``."""
+        n = len(sig.agents)
+        return cls(sig, tuple(idx // n**j % n for j in range(len(sig.vars))))
 
 
 @dataclass(frozen=True)
@@ -273,15 +263,8 @@ def atomic_transfer(model: DirectModel, giver: str, var: str, receiver: str) -> 
 
 
 def enumerate_allocations(sig: Signature) -> Iterator[Allocation]:
-    n = len(sig.agents)
-    k = len(sig.vars)
-    for idx in range(n**k):
-        owners = []
-        rest = idx
-        for _ in range(k):
-            owners.append(rest % n)
-            rest //= n
-        yield Allocation(sig, tuple(owners))
+    for idx in range(len(sig.agents) ** len(sig.vars)):
+        yield Allocation.from_index(sig, idx)
 
 
 def enumerate_valuations(sig: Signature) -> Iterator[Valuation]:

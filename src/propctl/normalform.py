@@ -3,8 +3,8 @@
 Every formula over a fixed signature is equivalent to a disjunction, over
 all allocations, of "the allocation holds and the valuation is one of
 these".  The table of satisfying valuations per allocation is that normal
-form with the syntax stripped away; it is computed by exhaustive
-evaluation, so equality of tables is exactly semantic equivalence over the
+form with the syntax stripped away; it is computed exactly over every
+model, so equality of tables is exactly semantic equivalence over the
 signature.
 
 Rows are bitmasks over the canonical valuation order, indexed by the
@@ -22,7 +22,6 @@ from .syntax import (
     Atom,
     Formula,
     Not,
-    bottom,
     conj,
     conj_all,
     controls,
@@ -45,11 +44,8 @@ class NormalForm:
     def full_row(self) -> int:
         return (1 << (1 << len(self.sig.vars))) - 1
 
-    def mask_for(self, alloc: Allocation) -> int:
-        return self.rows[alloc.index()]
-
     def satisfying(self, alloc: Allocation) -> tuple[Valuation, ...]:
-        row = self.mask_for(alloc)
+        row = self.rows[alloc.index()]
         return tuple(
             Valuation(self.sig, bits)
             for bits in range(1 << len(self.sig.vars))
@@ -62,7 +58,7 @@ class NormalForm:
 
 
 def normal_form(formula: Formula, sig: Signature) -> NormalForm:
-    """Evaluate the formula on every model of the signature and tabulate."""
+    """The formula's truth table over every allocation of the signature."""
     return NormalForm(sig, tuple(semantics.truth_rows(formula, sig)))
 
 
@@ -85,19 +81,11 @@ def nf_to_formula(nf: NormalForm) -> Formula:
     """Rebuild a formula from the table: a disjunction over allocations of
     (satisfying valuation descriptions, conjoined with the allocation
     description).  An empty row contributes a falsum disjunct."""
-    branches = []
-    for alloc in enumerate_allocations(nf.sig):
-        row = nf.mask_for(alloc)
-        if row == 0:
-            inner: Formula = bottom()
-        else:
-            inner = disj_all(
-                valuation_description(nf.sig, val) for val in nf.satisfying(alloc)
-            )
-        branches.append(conj(inner, allocation_description(alloc)))
-    if not branches:
-        return bottom()
-    return disj_all(branches)
+    return disj_all(
+        conj(disj_all(valuation_description(nf.sig, val) for val in nf.satisfying(alloc)),
+             allocation_description(alloc))
+        for alloc in enumerate_allocations(nf.sig)
+    )
 
 
 def equivalent(left: Formula, right: Formula, sig: Signature) -> bool:

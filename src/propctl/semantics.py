@@ -1,125 +1,201 @@
-"""Direct semantics: formula evaluation and program relations.
+"""Direct semantics: one table evaluator behind every query.
 
-A coalition diamond holds when some assignment to the coalition's variables
-makes the body true; a program diamond holds when some model in the
-program's image satisfies the body.  Evaluation and program images are
-mutually recursive through tests, and well-founded because a test's
-condition is structurally smaller than the formula that mentions it.
-
-Iteration is computed as an exact breadth-first fixpoint over the reachable
-models rather than a depth-bounded search: programs never change the
-valuation, so the reachable set varies only in the allocation and the
-fixpoint closes within (number of allocations) rounds.
-
-``truth_rows`` is the one pass that evaluates a formula over every model of
-a signature; satisfiability, validity, normal forms and the evaluator
-cross-check are all queries on the rows it yields.
+A formula's table gives, per allocation of a domain, the bitmask of the
+valuations satisfying it.  Tables are built bottom up, as in the global
+labelling of Clarke, Emerson & Sistla: one walk lists each node object
+once, children first, and each formula node's table is computed once from
+its children's.  An atom is a fixed mask; negation and disjunction are word
+operations; a coalition diamond projects each row over the bits the
+coalition owns in that allocation.  Programs act by pre-image, as in PDL:
+``pre(give(i,p,j), T)`` reads the row of the allocation the handover moves
+to, a test is a conjunction, sequencing composes, choice is a disjunction,
+and iteration is the least fixpoint of ``X = T | pre(body, X)``.  Programs
+never change the valuation, so a pre-image moves whole rows, and a model's
+program image follows the same handovers forwards.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .model import DirectModel, Signature, SignatureError, Valuation, enumerate_allocations
-from .syntax import (
-    Atom,
-    Choice,
-    Dia,
-    DiaProg,
-    Formula,
-    Give,
-    Not,
-    Or,
-    Program,
-    Seq,
-    Star,
-    Test,
-    Top,
-    ensure_fits,
-)
+from .model import Allocation, DirectModel, Signature, SignatureError
+from .syntax import (CHILDREN, Atom, Choice, Dia, Formula, Give, Not, Or, Program, Seq, Test,
+                     Top, disj_all, ensure_fits)
 
 
-def _with_bits(model: DirectModel, bits: int) -> DirectModel:
-    return DirectModel(model.sig, model.alloc, Valuation(model.sig, bits))
+def _step(sig: Signature, give: Give):
+    """The handover as a map on allocation indices: the index it moves to,
+    or ``None`` where the giver does not own the variable."""
+    n = len(sig.agents)
+    weight = n ** sig.var_index[give.var]
+    giver = sig.agent_index[give.giver]
+    shift = (sig.agent_index[give.receiver] - giver) * weight
+    return lambda a: a + shift if a // weight % n == giver else None
 
 
-def _eval(model: DirectModel, f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return bool(model.val.bits >> model.sig.var_index[f.name] & 1)
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Not):
-        return not _eval(model, f.body)
-    if isinstance(f, Or):
-        return _eval(model, f.left) or _eval(model, f.right)
-    if isinstance(f, Dia):
-        for bits in model.alloc.reassignments(f.coalition, model.val.bits):
-            if _eval(_with_bits(model, bits), f.body):
-                return True
-        return False
-    if isinstance(f, DiaProg):
-        for reached in _image(model, f.program):
-            if _eval(reached, f.body):
-                return True
-        return False
-    raise TypeError(f"not a core formula: {f!r}")
+def _spent(nodes: list, roots: list) -> dict[int, list[int]]:
+    """Per position in ``nodes``, the nodes no later position reads: a
+    formula node is read by its formula parents, and through a test by
+    every diamond over a program around it; the roots are read at the end."""
+    last = {id(r): len(nodes) for r in roots}
+    for pos in range(len(nodes) - 1, -1, -1):
+        node = nodes[pos]
+        at = pos if isinstance(node, Formula) else last[id(node)]
+        for child in CHILDREN[type(node)](node):
+            last[id(child)] = max(last.get(id(child), -1), at)
+    spent: dict[int, list[int]] = {}
+    for key, pos in last.items():
+        spent.setdefault(pos, []).append(key)
+    return spent
 
 
-def _image(model: DirectModel, p: Program) -> set[DirectModel]:
-    if isinstance(p, Give):
-        owner_idx = model.alloc.owners[model.sig.var_index[p.var]]
-        if model.sig.agents[owner_idx] != p.giver:
-            return set()
-        if p.giver == p.receiver:
-            return {model}
-        return {DirectModel(model.sig, model.alloc.move(p.var, p.receiver), model.val)}
-    if isinstance(p, Test):
-        return {model} if _eval(model, p.condition) else set()
-    if isinstance(p, Seq):
-        out: set[DirectModel] = set()
-        for mid in _image(model, p.first):
-            out |= _image(mid, p.second)
-        return out
-    if isinstance(p, Choice):
-        return _image(model, p.left) | _image(model, p.right)
-    if isinstance(p, Star):
-        return set().union(*_frontiers(model, p.body))
-    raise TypeError(f"not a core program: {p!r}")
+class _Tables:
+    """The fit check of the roots (formulas, or one program) over the
+    signature, then, from one walk over them, the table of each formula node.
 
+    Without a model, the domain is every allocation, and bit ``b`` of a row
+    stands for ``Valuation(sig, b)``.  At a model, the domain is the
+    allocations the handovers reach from the model's, the model's first,
+    and a row has a bit per valuation of the free variables only: those an
+    atom names and a diamond's coalition owns in some domain allocation.
+    Every other atom keeps the model's value; ``point`` is the model's bit.
+    """
 
-def _frontiers(model: DirectModel, program: Program) -> Iterator[set[DirectModel]]:
-    """Breadth-first frontiers of iterating the program from the model:
-    first ``{model}``, then each round's newly reached models, until a
-    round reaches nothing new."""
-    reached = {model}
-    frontier = {model}
-    while frontier:
-        yield frontier
-        new: set[DirectModel] = set()
-        for m in frontier:
-            new |= _image(m, program)
-        frontier = new - reached
-        reached |= frontier
+    def __init__(self, sig: Signature, roots: list, model: DirectModel | None = None):
+        nodes = ensure_fits(disj_all(roots), sig)
+        self.sig, n = sig, len(sig.agents)
+        steps = {(g.giver, g.var, g.receiver): _step(sig, g) for g in nodes if type(g) is Give}
+        if model is None:
+            self.domain = position = range(n ** len(sig.vars))  # its own position map
+            free, self.val = range(len(sig.vars)), 0
+        else:
+            self.domain, self.val = [model.alloc.index()], model.val.bits
+            position = {self.domain[0]: 0}
+            for a in self.domain:  # the list grows while it is read
+                for b in (step(a) for step in steps.values()):
+                    if b is not None and b not in position:
+                        position[b] = len(self.domain)
+                        self.domain.append(b)
+            owners = {frozenset(sig.agent_index[i] for i in f.coalition) for f in nodes
+                      if type(f) is Dia}
+            free = [j for j in sorted({sig.var_index[f.name] for f in nodes if type(f) is Atom})
+                    if any(a // n**j % n in c for c in owners for a in self.domain)]
+        # per handover and domain position, the position it moves to
+        self.moves = {key: [None if (b := step(a)) is None else position[b] for a in self.domain]
+                      for key, step in steps.items()}
+        masks, width = [], 1  # masks[i]: the row bits where free variable i is true
+        for _ in free:  # double the row: copy each mask up, add the new variable's
+            masks = [m | m << width for m in masks] + [((1 << width) - 1) << width]
+            width <<= 1
+        self.full, self.free = (1 << width) - 1, dict(zip(free, masks))
+        self.point = sum(1 << i for i, j in enumerate(free) if self.val >> j & 1)
+        self._flips: dict[frozenset, list] = {}
+        # A table takes about 64 + width bits per domain allocation.  Large
+        # ones are dropped once read for the last time; counting the readers
+        # of small ones would cost more than they hold.
+        spent = _spent(nodes, roots) if len(self.domain) * (64 + width) > 1 << 16 else {}
+        self.table: dict[int, list[int]] = {}
+        for pos, node in enumerate(nodes):
+            if isinstance(node, Formula):
+                self.table[id(node)] = self.build(node)
+                if spent:
+                    for key in spent.get(pos, ()):
+                        self.table.pop(key, None)
+
+    def build(self, f: Formula) -> list[int]:
+        kind, table = type(f), self.table
+        if kind is Not:
+            return [self.full ^ row for row in table[id(f.body)]]
+        if kind is Or:
+            return [a | b for a, b in zip(table[id(f.left)], table[id(f.right)])]
+        if kind is Atom:
+            j = self.sig.var_index[f.name]
+            mask = self.free.get(j, self.full if self.val >> j & 1 else 0)
+            return [mask] * len(self.domain)
+        if kind is Top:
+            return [self.full] * len(self.domain)
+        if kind is Dia:
+            out = []
+            for row, flips in zip(table[id(f.body)], self.flips(f.coalition)):
+                for true, false, shift in flips:
+                    row |= (row & true) >> shift | (row & false) << shift
+                out.append(row)
+            return out
+        return self.pre(f.program, table[id(f.body)])  # DiaProg
+
+    def flips(self, coalition: frozenset) -> list[list[tuple[int, int, int]]]:
+        """Per domain allocation and free variable the coalition owns there:
+        the row bits with the variable true, those with it false, and the
+        distance between the two."""
+        if coalition not in self._flips:
+            n, members = len(self.sig.agents), {self.sig.agent_index[a] for a in coalition}
+            self._flips[coalition] = [[(true, self.full ^ true, 1 << i)
+                                       for i, (j, true) in enumerate(self.free.items())
+                                       if a // n**j % n in members]
+                                      for a in self.domain]
+        return self._flips[coalition]
+
+    def pre(self, p: Program, table: list[int]) -> list[int]:
+        """Per domain allocation, the join of the table's rows at the
+        allocations one run of the program reaches, each masked by the
+        tables of the tests on the way."""
+        kind = type(p)
+        if kind is Give:
+            return [0 if t is None else table[t] for t in self.moves[p.giver, p.var, p.receiver]]
+        if kind is Test:
+            return [g & row for g, row in zip(self.table[id(p.condition)], table)]
+        if kind is Seq:
+            return self.pre(p.first, self.pre(p.second, table))
+        if kind is Choice:
+            return [a | b for a, b in zip(self.pre(p.left, table), self.pre(p.right, table))]
+        x = table  # Star
+        while (step := [a | b for a, b in zip(table, self.pre(p.body, x))]) != x:
+            x = step
+        return x
+
+    def post(self, p: Program, reached: set[int]) -> set[int]:
+        """The domain positions one run of the program reaches from those
+        in ``reached``: the pre-image read forwards, for one set of
+        positions rather than every position's own."""
+        kind = type(p)
+        if kind is Give:
+            moves = self.moves[p.giver, p.var, p.receiver]
+            return {t for a in reached if (t := moves[a]) is not None}
+        if kind is Test:
+            gate = self.table[id(p.condition)]
+            return {a for a in reached if gate[a] >> self.point & 1}
+        if kind is Seq:
+            return self.post(p.second, self.post(p.first, reached))
+        if kind is Choice:
+            return self.post(p.left, reached) | self.post(p.right, reached)
+        return self.closure(p.body, reached)[0]  # Star
+
+    def closure(self, body: Program, reached: set[int]) -> tuple[set[int], int]:
+        """The positions any number of runs of the body reach from those in
+        ``reached``, and the number of rounds that found new ones."""
+        out, frontier, rounds = set(reached), reached, 0
+        while frontier := self.post(body, frontier) - out:
+            out |= frontier
+            rounds += 1
+        return out, rounds
 
 
 def evaluate(model: DirectModel, formula: Formula) -> bool:
     """Truth of the formula in the model under the direct semantics."""
-    ensure_fits(formula, model.sig)
-    return _eval(model, formula)
+    tables = _Tables(model.sig, [formula], model)
+    return bool(tables.table[id(formula)][0] >> tables.point & 1)
 
 
 def program_image(model: DirectModel, program: Program) -> list[DirectModel]:
     """All models one run of the program can reach, in canonical order."""
-    ensure_fits(program, model.sig)
-    return sorted(_image(model, program), key=DirectModel.index)
+    tables = _Tables(model.sig, [program], model)
+    return [DirectModel(model.sig, Allocation.from_index(model.sig, a), model.val)
+            for a in sorted(tables.domain[t] for t in tables.post(program, {0}))]
 
 
 def in_relation(start: DirectModel, end: DirectModel, program: Program) -> bool:
     """Whether some run of the program takes the first model to the second."""
     if start.sig != end.sig:
         raise SignatureError("models live over different signatures")
-    ensure_fits(program, start.sig)
-    return end in _image(start, program)
+    return end in program_image(start, program)
 
 
 def star_depth(model: DirectModel, program: Program) -> int:
@@ -129,26 +205,17 @@ def star_depth(model: DirectModel, program: Program) -> int:
     some breadth-first depth B; a box over the iterated program then equals
     the conjunction of the 0..B-fold boxed bodies.
     """
-    ensure_fits(program, model.sig)
-    return sum(1 for _ in _frontiers(model, program)) - 1
+    return _Tables(model.sig, [program], model).closure(program, {0})[1]
 
 
-def truth_rows(formula: Formula, sig: Signature) -> Iterator[int]:
+def truth_rows(formula: Formula, sig: Signature) -> list[int]:
     """Per allocation, in canonical order, the bitmask of the valuations
-    satisfying the formula (bit ``b`` for ``Valuation(sig, b)``).
-
-    The fit check runs once, here; rows are computed lazily, so a caller
-    that stops early skips the remaining allocations.
-    """
-    ensure_fits(formula, sig)
-    return _rows(formula, sig)
+    satisfying the formula (bit ``b`` for ``Valuation(sig, b)``), all
+    computed before the list is returned."""
+    return truth_rows_each([formula], sig)[0]
 
 
-def _rows(formula: Formula, sig: Signature) -> Iterator[int]:
-    valuations = [Valuation(sig, bits) for bits in range(1 << len(sig.vars))]
-    for alloc in enumerate_allocations(sig):
-        row = 0
-        for val in valuations:
-            if _eval(DirectModel(sig, alloc, val), formula):
-                row |= 1 << val.bits
-        yield row
+def truth_rows_each(formulas: list[Formula], sig: Signature) -> list[list[int]]:
+    """``truth_rows`` of each formula, from one walk over all of them."""
+    tables = _Tables(sig, formulas)
+    return [tables.table[id(f)] for f in formulas]

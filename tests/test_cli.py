@@ -270,13 +270,32 @@ def test_missing_file_exit_four(tmp_path, model_file, capsys):
 
 
 def test_unexpected_failure_exit_five_without_traceback(model_file, capsys):
-    # parses, but evaluating 600 nested conjunctions exceeds the recursion limit
+    # 3,000 nested negations exceed the parser's recursion limit
     code, out, err = run_cli(capsys, "check", "--model", model_file,
-                             "--formula", " & ".join(["p"] * 600))
+                             "--formula", "~" * 3000 + "p")
     assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "RecursionError" in err and "Traceback" not in err
+
+
+def test_long_conjunction_chain_is_answered(model_file, capsys):
+    # 600 operands nest 1,800 nodes deep; the evaluator keeps its own stack
+    code, out, err = run_cli(capsys, "check", "--model", model_file,
+                             "--formula", " & ".join(["p"] * 600))
+    assert (code, out, err) == (0, "true\n", "")
+
+
+def test_model_with_forty_variables_is_answered(tmp_path, capsys):
+    names = " ".join(f"p{i}" for i in range(40))
+    path = tmp_path / "wide.model"
+    path.write_text(f"agents: 1 2\nvars: {names}\nowns 1: {names}\ntrue: p0 p39\n")
+    code, out, _ = run_cli(capsys, "check", "--model", str(path), "--formula",
+                           "p0 & ~dia{2}(~p39) & <give(1,p1,2)> dia{2} p1")
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run_cli(capsys, "run", "--model", str(path), "--program", "give(1,p39,2)")
+    assert code == 0
+    assert "owns 2: p39" in out
 
 
 _FUZZ_TOKENS = [

@@ -203,6 +203,15 @@ def test_delegation_demo_giving_away_loses_the_flip():
     assert not evaluate(DirectModel(sig, alloc, val), direct)
 
 
+def test_unknown_agent_is_refused_once_the_formula_has_a_model():
+    sig, alloc, val = _demo_state()
+    for decide in (delegation_can_achieve, characterize_second_order):
+        with pytest.raises(SignatureError, match="unknown agent 'zz'"):
+            decide(sig, alloc, val, "zz", Atom("p"))
+        # no model satisfies the formula, so no allocation is asked about
+        assert not decide(sig, alloc, val, "zz", Not(TOP))
+
+
 def test_characterization_agrees_with_direct_evaluation():
     rng = random.Random(53)
     for _ in range(40):
@@ -212,6 +221,17 @@ def test_characterization_agrees_with_direct_evaluation():
                 table = characterize_second_order(m.sig, m.alloc, m.val, agent, f)
                 direct = evaluate(m, second_order_controls(agent, f, m.sig))
                 assert table == direct
+
+
+def test_characterization_agrees_with_direct_evaluation_on_large_tables():
+    # 2x8: both sides build tables large enough to be dropped once spent
+    sig = Signature(("1", "2"), tuple(f"p{i}" for i in range(8)))
+    rng = random.Random(54)
+    for _ in range(4):
+        f = random_formula(rng, sig, 2)
+        m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, rng.randrange(256)))
+        table = characterize_second_order(sig, m.alloc, m.val, "1", f)
+        assert table == evaluate(m, second_order_controls("1", f, sig))
 
 
 # --- validity-level characterization ----------------------------------------

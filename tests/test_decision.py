@@ -110,15 +110,15 @@ def test_witness_is_deterministic_first_in_enumeration():
 
 
 def test_one_fit_check_per_query(monkeypatch):
-    # the signature walk runs once per query, not once per model
+    # the formula walk (fit check and tables) runs once per query, not once per model
     calls = []
 
     def counting(node):
         calls.append(node)
         return real(node)
 
-    real = syntax.signature_of
-    monkeypatch.setattr(syntax, "signature_of", counting)
+    real = syntax.postorder
+    monkeypatch.setattr(syntax, "postorder", counting)
     sig = Signature(("1", "2"), ("p", "q"))
     f = parse_formula("dia{1}(p) -> <give(1,p,2)*>dia{2}(p | q)")
     for query in (valid, satisfiable, counterexample, normal_form):

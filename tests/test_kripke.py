@@ -93,8 +93,25 @@ def test_coalition_clause_uses_union_of_variables():
 
 def test_exhaustive_agreement_small_signatures():
     rng = random.Random(7)
-    for agents, variables in [(1, 1), (2, 1), (1, 2)]:
+    for agents, variables in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]:
         sig = Signature(tuple(str(i) for i in range(1, agents + 1)),
                         tuple(f"v{i}" for i in range(variables)))
         for _ in range(30):
             assert cross_check(sig, random_formula(rng, sig, 3))
+
+
+def test_program_images_agree_small_signatures():
+    from propctl.kripke import _pointed_image
+
+    rng = random.Random(43)
+    for agents, variables in [(2, 2), (3, 2), (2, 3)]:
+        sig = Signature(tuple(str(i) for i in range(1, agents + 1)),
+                        tuple(f"v{i}" for i in range(variables)))
+        models = models_of(sig)
+        for _ in range(30):
+            prog = random_program(rng, sig, 3)
+            for m in rng.sample(models, 3):
+                image = [pointed_of(r) for r in semantics.program_image(m, prog)]
+                expected = sorted(_pointed_image(pointed_of(m), prog),
+                                  key=lambda pm: pm.alloc.index())
+                assert image == expected

@@ -11,6 +11,7 @@ from propctl.model import (
     apply_cvaluation,
     atomic_transfer,
     c_valuations,
+    enumerate_allocations,
     enumerate_models,
     model_count,
     model_from_dict,
@@ -143,6 +144,15 @@ def test_enumeration_is_deterministic_and_allocation_major():
     assert first == second
     owners = [m.alloc.owner("p") for m in enumerate_models(sig)]
     assert owners == ["1", "1", "2", "2"]
+
+
+def test_allocation_index_round_trip():
+    sig = Signature(("1", "2", "3"), ("p", "q"))
+    allocs = list(enumerate_allocations(sig))
+    assert [a.index() for a in allocs] == list(range(9))
+    assert all(Allocation.from_index(sig, a.index()) == a for a in allocs)
+    # variable 0 is the least significant digit
+    assert Allocation.from_index(sig, 5).owners == (2, 1)
 
 
 def test_model_size():

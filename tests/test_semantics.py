@@ -1,12 +1,17 @@
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from propctl import semantics
 from propctl.model import (
+    Allocation,
+    DirectModel,
     Signature,
     SignatureError,
+    Valuation,
     atomic_transfer,
 )
 from propctl.semantics import evaluate, in_relation, program_image, star_depth
@@ -15,6 +20,7 @@ from propctl.syntax import (
     Choice,
     Dia,
     DiaProg,
+    Formula,
     Give,
     Not,
     Or,
@@ -26,6 +32,7 @@ from propctl.syntax import (
     give_program,
     parse_formula,
     parse_program,
+    postorder,
 )
 
 from helpers import models_of, random_formula, random_program, sample_model
@@ -248,3 +255,54 @@ def test_evaluation_matches_sugarfree_construction():
     assert image == [atomic_transfer(m, "1", "p", "2")]
     flipped = parse_program("if ~p then give(1,p,2) else give(1,q,2)")
     assert program_image(m, flipped) == [atomic_transfer(m, "1", "q", "2")]
+
+
+def test_shared_subformulas_are_tabled_once(monkeypatch):
+    # <-> uses each operand twice: 2**17 root-to-leaf paths over 154 formula nodes
+    sig = Signature(("1",), tuple(f"p{i}" for i in range(18)))
+    chain = parse_formula(" <-> ".join(f"p{i}" for i in range(18)))
+    m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, (1 << 18) - 1))
+    built = []
+    real = semantics._Tables.build
+
+    def counting(self, f):
+        built.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(semantics._Tables, "build", counting)
+    assert evaluate(m, chain)
+    formulas = [node for node in postorder(chain) if isinstance(node, Formula)]
+    assert len(formulas) < 200
+    assert len(built) == len(formulas)
+
+
+def test_single_model_rows_cover_only_what_diamonds_can_flip():
+    # 40 variables: a row over every valuation would take 2**40 bits
+    sig = Signature(("1", "2"), tuple(f"p{i}" for i in range(40)))
+    m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation.from_true_vars(sig, ["p0", "p39"]))
+    step = parse_program("give(1,p0,2) + give(1,p1,2)", sig)
+    tracemalloc.start()
+    try:
+        assert evaluate(m, parse_formula("p0 & p39 & dia{1}(~p0 & p1) & ~dia{2}(~p39)", sig))
+        assert evaluate(m, parse_formula("<give(1,p1,2)*> dia{2} p1", sig))
+        assert program_image(m, step) == [atomic_transfer(m, "1", "p0", "2"),
+                                          atomic_transfer(m, "1", "p1", "2")]
+        assert star_depth(m, step) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_large_tables_are_dropped_without_changing_answers():
+    # 256 allocations of 256 valuations: large enough that spent tables are
+    # dropped, both over the signature and at a model whose handovers reach
+    # every allocation
+    sig = Signature(("1", "2"), tuple(f"p{i}" for i in range(8)))
+    rng = random.Random(8)
+    for _ in range(6):
+        f = DiaProg(Star(give_program({"1"}, sig.agents, sig)), random_formula(rng, sig, 3))
+        rows = semantics.truth_rows(f, sig)
+        for bits in rng.sample(range(256), 3):
+            m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, bits))
+            assert evaluate(m, f) == bool(rows[0] >> bits & 1)
