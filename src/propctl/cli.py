@@ -153,11 +153,11 @@ def _cmd_nf(args) -> int:
     sig = Signature(_split_names(args.agents), _split_names(args.vars))
     formula = parse_formula(args.formula, sig)
     nf = normalform.normal_form(formula, sig)
-    rows = []
-    for alloc in enumerate_allocations(sig):
+    rows, names = [], list(enumerate(sig.vars))
+    for alloc, row in zip(enumerate_allocations(sig), nf.rows):
         alloc_text = " & ".join(f"controls({alloc.owner(p)},{p})" for p in sig.vars)
-        val_text = " | ".join(" & ".join(p if val.value(p) else f"~{p}" for p in sig.vars)
-                              for val in nf.satisfying(alloc))
+        val_text = " | ".join(" & ".join(p if bits >> j & 1 else f"~{p}" for j, p in names)
+                              for bits in range(1 << len(names)) if row >> bits & 1)
         rows.append((alloc_text, val_text or "false"))
     record = {
         "command": "nf",

@@ -47,11 +47,7 @@ def _reach(sig: Signature, alloc: Allocation, val: Valuation, agent: str,
     can then steer to a satisfying valuation with the variables it still
     holds.  The rows come from one walk over all the formulas.
     """
-    if agent not in sig.agent_index or alloc.sig != sig:
-        # ``geq`` refuses these, once the first formula has a model at all
-        if any(semantics.truth_rows(formulas[0], sig)):
-            geq(alloc, Allocation.from_index(sig, 0), agent)
-        return False
+    geq(alloc, Allocation.from_index(sig, 0), agent)  # refuses an unknown agent, a foreign allocation
     coalition = frozenset({agent})
     return all(any(row >> val.bits & 1 and geq(alloc, Allocation.from_index(sig, idx), agent)
                    for idx, row in enumerate(rows))

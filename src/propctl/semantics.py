@@ -16,9 +16,12 @@ program image follows the same handovers forwards.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from .model import Allocation, DirectModel, Signature, SignatureError
-from .syntax import (CHILDREN, Atom, Choice, Dia, Formula, Give, Not, Or, Program, Seq, Test,
-                     Top, disj_all, ensure_fits)
+from .syntax import (CHILDREN, Atom, Choice, Dia, Formula, Give, Not, Or, Program, Seq, Star,
+                     Test, Top, disj_all, ensure_fits, operands)
 
 
 def _step(sig: Signature, give: Give):
@@ -29,6 +32,11 @@ def _step(sig: Signature, give: Give):
     giver = sig.agent_index[give.giver]
     shift = (sig.agent_index[give.receiver] - giver) * weight
     return lambda a: a + shift if a // weight % n == giver else None
+
+
+def _union(x: list[int], y: list[int]) -> list[int]:
+    """Row by row, the disjunction of two tables."""
+    return list(map(or_, x, y))
 
 
 def _spent(nodes: list, roots: list) -> dict[int, list[int]]:
@@ -105,7 +113,7 @@ class _Tables:
         if kind is Not:
             return [self.full ^ row for row in table[id(f.body)]]
         if kind is Or:
-            return [a | b for a, b in zip(table[id(f.left)], table[id(f.right)])]
+            return _union(table[id(f.left)], table[id(f.right)])
         if kind is Atom:
             j = self.sig.var_index[f.name]
             mask = self.free.get(j, self.full if self.val >> j & 1 else 0)
@@ -142,12 +150,16 @@ class _Tables:
             return [0 if t is None else table[t] for t in self.moves[p.giver, p.var, p.receiver]]
         if kind is Test:
             return [g & row for g, row in zip(self.table[id(p.condition)], table)]
-        if kind is Seq:
-            return self.pre(p.first, self.pre(p.second, table))
+        if kind is Seq:  # a chain of steps in a loop, the last one first
+            for step in reversed(operands(p)):
+                table = self.pre(step, table)
+            return table
         if kind is Choice:
-            return [a | b for a, b in zip(self.pre(p.left, table), self.pre(p.right, table))]
-        x = table  # Star
-        while (step := [a | b for a, b in zip(table, self.pre(p.body, x))]) != x:
+            return reduce(_union, (self.pre(arm, table) for arm in operands(p)))
+        while type(p.body) is Star:  # Star: (x*)* is x*, so a run of stars costs no recursion
+            p = p.body
+        x = table
+        while (step := _union(table, self.pre(p.body, x))) != x:
             x = step
         return x
 
@@ -162,11 +174,15 @@ class _Tables:
         if kind is Test:
             gate = self.table[id(p.condition)]
             return {a for a in reached if gate[a] >> self.point & 1}
-        if kind is Seq:
-            return self.post(p.second, self.post(p.first, reached))
+        if kind is Seq:  # a chain of steps in a loop
+            for step in operands(p):
+                reached = self.post(step, reached)
+            return reached
         if kind is Choice:
-            return self.post(p.left, reached) | self.post(p.right, reached)
-        return self.closure(p.body, reached)[0]  # Star
+            return set().union(*(self.post(arm, reached) for arm in operands(p)))
+        while type(p.body) is Star:  # Star, as in pre
+            p = p.body
+        return self.closure(p.body, reached)[0]
 
     def closure(self, body: Program, reached: set[int]) -> tuple[set[int], int]:
         """The positions any number of runs of the body reach from those in

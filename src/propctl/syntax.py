@@ -36,7 +36,10 @@ is a single name or a brace-enclosed comma list (possibly empty).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import partial, reduce
+from typing import NamedTuple
 
 from .model import (
     DirectModel,
@@ -153,22 +156,12 @@ def iff(left: Formula, right: Formula) -> Formula:
 
 def disj_all(formulas) -> Formula:
     items = list(formulas)
-    if not items:
-        return bottom()
-    out = items[0]
-    for f in items[1:]:
-        out = Or(out, f)
-    return out
+    return reduce(Or, items) if items else bottom()
 
 
 def conj_all(formulas) -> Formula:
     items = list(formulas)
-    if not items:
-        return TOP
-    out = items[0]
-    for f in items[1:]:
-        out = conj(out, f)
-    return out
+    return reduce(conj, items) if items else TOP
 
 
 def box(coalition, body: Formula) -> Formula:
@@ -202,22 +195,12 @@ def controls(coalition, body: Formula) -> Formula:
 
 def choice_all(programs) -> Program:
     items = list(programs)
-    if not items:
-        return Test(bottom())
-    out = items[0]
-    for p in items[1:]:
-        out = Choice(out, p)
-    return out
+    return reduce(Choice, items) if items else Test(bottom())
 
 
 def seq_all(programs) -> Program:
     items = list(programs)
-    if not items:
-        return Test(TOP)
-    out = items[0]
-    for p in items[1:]:
-        out = Seq(out, p)
-    return out
+    return reduce(Seq, items) if items else Test(TOP)
 
 
 def give_program(givers, receivers, sig: Signature) -> Program:
@@ -292,6 +275,19 @@ def postorder(node) -> list:
     return out
 
 
+def operands(node) -> list:
+    """The operands of the left-leaning chain of the node's kind that the
+    node heads, left to right (``a, b, c`` for ``(a | b) | c``), found in a
+    loop: a chain's length costs no recursion."""
+    kind, out = type(node), []
+    while type(node) is kind:
+        node, right = CHILDREN[kind](node)
+        out.append(right)
+    out.append(node)
+    out.reverse()
+    return out
+
+
 def _names(nodes) -> tuple[frozenset[str], frozenset[str]]:
     props: set[str] = set()
     agents: set[str] = set()
@@ -338,8 +334,9 @@ KEYWORDS = {
 
 _PROGRAM_KEYWORDS = {"give", "giveall", "test", "skip", "fail", "if", "while", "repeat"}
 
-_SYMBOLS = ("<->", "->", "(", ")", "{", "}", "[", "]", "<", ">",
-            "~", "&", "|", ";", "+", "*", "?", ",")
+# One alternative per kind of lexeme; "<->" and "->" are tried before "<".
+_LEXEME = re.compile(r"(?P<symbol><->|->|[(){}\[\]<>~&|;+*?,])|(?P<word>\w+)|(?P<space>[^\S\n]+)"
+                     r"|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<other>.)", re.DOTALL)
 
 
 class ParseError(Exception):
@@ -352,8 +349,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name", "keyword", symbol text, or "end"
     text: str
     line: int
@@ -361,51 +357,48 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The text's tokens, then an "end" token.  A column counts characters;
+    a comment moves no column."""
     tokens: list[_Token] = []
     line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            if ch.isalnum() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                kind = "keyword" if word in KEYWORDS else "name"
-                if kind == "name" and not is_valid_name(word):
-                    raise ParseError(f"bad identifier {word!r}", line, col)
-                tokens.append(_Token(kind, word, line, col))
-                col += j - i
-                i = j
+    for match in _LEXEME.finditer(text):
+        kind, lexeme = match.lastgroup, match.group()
+        if kind == "symbol":
+            tokens.append(_Token(lexeme, lexeme, line, col))
+        elif kind == "word":
+            if lexeme in KEYWORDS:
+                tokens.append(_Token("keyword", lexeme, line, col))
+            elif is_valid_name(lexeme):
+                tokens.append(_Token("name", lexeme, line, col))
             else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
+                raise ParseError(f"bad identifier {lexeme!r}", line, col)
+        elif kind == "newline":
+            line, col = line + 1, 1
+            continue
+        elif kind == "comment":
+            continue
+        elif kind == "other":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+        col += len(lexeme)
     tokens.append(_Token("end", "", line, col))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser.
+
+# Infix operators: token -> (sort, level, constructor, binds right).  A
+# higher level binds tighter.
+_INFIX = {
+    "<->": ("formula", 1, iff, True), "->": ("formula", 2, implies, True),
+    "|": ("formula", 3, Or, False), "&": ("formula", 4, conj, False),
+    "+": ("program", 1, Choice, False), ";": ("program", 2, Seq, False),
+}
+
+# Prefix operators: token text -> constructor, given what follows the token
+# (a coalition or a program) and then the operand.
+_PREFIX = {"~": Not, "dia": Dia, "box": box, "<": DiaProg, "[": box_prog}
+
 
 class _Parser:
     def __init__(self, text: str, sig: Signature | None):
@@ -446,11 +439,7 @@ class _Parser:
         return ParseError(message, tok.line, tok.col)
 
     def name(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "name":
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {what}, got {got!r}", tok.line, tok.col)
-        return self.next().text
+        return self.expect("name", what).text
 
     def coalition(self) -> frozenset[str]:
         if self.accept("{"):
@@ -468,57 +457,54 @@ class _Parser:
             raise self.fail(f"{construct} needs a signature in scope")
         return self.sig
 
-    # Formulas, lowest precedence first.
-
-    def formula(self) -> Formula:
-        left = self.imp()
-        if self.accept("<->"):
-            return iff(left, self.formula())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disjunction()
-        if self.accept("->"):
-            return implies(left, self.imp())
-        return left
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.accept("|"):
-            out = Or(out, self.conjunction())
+    def whole(self, read):
+        """All of the text as what ``read`` reads.  Nesting too deep for the
+        interpreter's stack is a syntax error at the token reached."""
+        try:
+            out = read()
+        except RecursionError:
+            raise self.fail("nested too deeply") from None
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
         return out
 
-    def conjunction(self) -> Formula:
-        out = self.unary()
-        while self.accept("&"):
-            out = conj(out, self.unary())
+    def formula(self) -> Formula:
+        return self.infix("formula", 1)
+
+    def program(self) -> Program:
+        return self.infix("program", 1)
+
+    def infix(self, sort: str, level: int):
+        """Operands of the sort joined by its infix operators of at least
+        the given level: precedence climbing over ``_INFIX``."""
+        out = self.unary() if sort == "formula" else self.star()
+        while (op := _INFIX.get(self.peek().kind)) and op[0] == sort and op[1] >= level:
+            self.pos += 1
+            _, at, build, right = op
+            out = build(out, self.infix(sort, at if right else at + 1))
         return out
 
     def unary(self) -> Formula:
+        """A run of prefix operators, applied innermost first, then a primary."""
         if self.read_ahead is not None:
             out, self.read_ahead = self.read_ahead, None
             return out
-        if self.accept("~"):
-            return Not(self.unary())
-        if self.at("keyword", "dia"):
-            self.next()
-            if not self.at("{"):
-                raise self.fail("expected '{' after dia")
-            return Dia(self.coalition(), self.unary())
-        if self.at("keyword", "box"):
-            self.next()
-            if not self.at("{"):
-                raise self.fail("expected '{' after box")
-            return box(self.coalition(), self.unary())
-        if self.accept("<"):
-            prog = self.program()
-            self.expect(">")
-            return DiaProg(prog, self.unary())
-        if self.accept("["):
-            prog = self.program()
-            self.expect("]")
-            return box_prog(prog, self.unary())
-        return self.primary()
+        run = []  # the constructors read, outermost first
+        while (build := _PREFIX.get(self.peek().text)) is not None:
+            tok = self.next()
+            if tok.kind == "keyword":  # dia, box
+                if not self.at("{"):
+                    raise self.fail(f"expected '{{' after {tok.text}")
+                build = partial(build, self.coalition())
+            elif tok.kind != "~":  # <, [
+                build = partial(build, self.program())
+                self.expect(">" if tok.kind == "<" else "]")
+            run.append(build)
+        out = self.primary()
+        for build in reversed(run):
+            out = build(out)
+        return out
 
     def primary(self) -> Formula:
         if self.accept("keyword", "true"):
@@ -549,20 +535,6 @@ class _Parser:
         if self.at("name"):
             return Atom(self.next().text)
         raise self.fail(f"expected a formula, got {self.peek().text or 'end of input'!r}")
-
-    # Programs, lowest precedence first.
-
-    def program(self) -> Program:
-        out = self.seq()
-        while self.accept("+"):
-            out = Choice(out, self.seq())
-        return out
-
-    def seq(self) -> Program:
-        out = self.star()
-        while self.accept(";"):
-            out = Seq(out, self.star())
-        return out
 
     def star(self) -> Program:
         out = self.base()
@@ -660,11 +632,6 @@ class _Parser:
         self.expect(")")
         return out
 
-    def done(self) -> None:
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-
 
 def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     """Parse concrete formula syntax into the core AST, expanding all sugar.
@@ -673,17 +640,13 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     (CONTROLS and giveall).
     """
     parser = _Parser(text, sig)
-    out = parser.formula()
-    parser.done()
-    return out
+    return parser.whole(parser.formula)
 
 
 def parse_program(text: str, sig: Signature | None = None) -> Program:
     """Parse concrete program syntax into the core AST, expanding all sugar."""
     parser = _Parser(text, sig)
-    out = parser.program()
-    parser.done()
-    return out
+    return parser.whole(parser.program)
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +718,11 @@ def parse_model(text: str) -> DirectModel:
 # ---------------------------------------------------------------------------
 # Rendering.  parse(render(x)) is structurally equal to x.
 
-_F_OR, _F_UNARY, _F_PRIM = 1, 2, 3
+_F_OR, _F_UNARY = 1, 2
 _P_CHOICE, _P_SEQ, _P_STAR, _P_BASE = 1, 2, 3, 4
+
+# A chain's first operand is not of the chain's kind, so all of its operands
+# render at the level of a right operand.
 
 
 def _render_formula(f: Formula, level: int) -> str:
@@ -768,18 +734,17 @@ def _render_formula(f: Formula, level: int) -> str:
         return "~" + _render_formula(f.body, _F_UNARY)
     if isinstance(f, Dia):
         inner = _render_formula(f.body, _F_OR)
-        text = "dia{" + ",".join(sorted(f.coalition)) + "}(" + inner + ")"
-    elif isinstance(f, DiaProg):
+        return "dia{" + ",".join(sorted(f.coalition)) + "}(" + inner + ")"
+    if isinstance(f, DiaProg):
         inner = _render_formula(f.body, _F_OR)
-        text = "<" + _render_program(f.program, _P_CHOICE) + ">(" + inner + ")"
-    elif isinstance(f, Or):
-        text = _render_formula(f.left, _F_OR) + " | " + _render_formula(f.right, _F_UNARY)
-        if level > _F_OR:
-            return "(" + text + ")"
-        return text
-    else:
-        raise TypeError(f"not a core formula: {f!r}")
-    return text
+        return "<" + _render_program(f.program, _P_CHOICE) + ">(" + inner + ")"
+    if isinstance(f, Or):
+        if type(f.left) is Or:  # a chain: a loop, not a frame per link
+            text = " | ".join([_render_formula(g, _F_UNARY) for g in operands(f)])
+        else:
+            text = _render_formula(f.left, _F_UNARY) + " | " + _render_formula(f.right, _F_UNARY)
+        return "(" + text + ")" if level > _F_OR else text
+    raise TypeError(f"not a core formula: {f!r}")
 
 
 def _render_program(p: Program, level: int) -> str:
@@ -794,15 +759,17 @@ def _render_program(p: Program, level: int) -> str:
     if isinstance(p, Star):
         return _render_program(p.body, _P_BASE) + "*"
     if isinstance(p, Seq):
-        text = _render_program(p.first, _P_SEQ) + "; " + _render_program(p.second, _P_STAR)
-        if level > _P_SEQ:
-            return "(" + text + ")"
-        return text
+        if type(p.first) is Seq:
+            text = "; ".join([_render_program(q, _P_STAR) for q in operands(p)])
+        else:
+            text = _render_program(p.first, _P_STAR) + "; " + _render_program(p.second, _P_STAR)
+        return "(" + text + ")" if level > _P_SEQ else text
     if isinstance(p, Choice):
-        text = _render_program(p.left, _P_CHOICE) + " + " + _render_program(p.right, _P_SEQ)
-        if level > _P_CHOICE:
-            return "(" + text + ")"
-        return text
+        if type(p.left) is Choice:
+            text = " + ".join([_render_program(q, _P_SEQ) for q in operands(p)])
+        else:
+            text = _render_program(p.left, _P_SEQ) + " + " + _render_program(p.right, _P_SEQ)
+        return "(" + text + ")" if level > _P_CHOICE else text
     raise TypeError(f"not a core program: {p!r}")
 
 

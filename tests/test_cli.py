@@ -269,10 +269,12 @@ def test_missing_file_exit_four(tmp_path, model_file, capsys):
     assert code == 4
 
 
-def test_unexpected_failure_exit_five_without_traceback(model_file, capsys):
-    # 3,000 nested negations exceed the parser's recursion limit
-    code, out, err = run_cli(capsys, "check", "--model", model_file,
-                             "--formula", "~" * 3000 + "p")
+def test_unexpected_failure_exit_five_without_traceback(model_file, capsys, monkeypatch):
+    def overflow(model, formula):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(semantics, "evaluate", overflow)
+    code, out, err = run_cli(capsys, "check", "--model", model_file, "--formula", "p")
     assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1
@@ -284,6 +286,27 @@ def test_long_conjunction_chain_is_answered(model_file, capsys):
     code, out, err = run_cli(capsys, "check", "--model", model_file,
                              "--formula", " & ".join(["p"] * 600))
     assert (code, out, err) == (0, "true\n", "")
+
+
+def test_deep_nesting_is_answered_or_refused(model_file, capsys):
+    # prefix runs and chains are read in loops; parentheses nest frames
+    for formula in ("~" * 3000 + "p", "<" + "; ".join(["skip"] * 1000) + ">true",
+                    "<give(1,p,2)" + "*" * 1500 + ">true"):
+        code, out, err = run_cli(capsys, "check", "--model", model_file, "--formula", formula)
+        assert (code, err) == (0, "") and out in ("true\n", "false\n")
+    code, out, err = run_cli(capsys, "check", "--model", model_file,
+                             "--formula", "(" * 2000 + "p" + ")" * 2000)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "nested too deeply" in err
+
+
+def test_nf_of_many_allocations_emits_its_formula(capsys):
+    # 1,024 allocations: the rebuilt formula is a 1,024-operand "|" chain
+    code, out, _ = run_cli(capsys, "nf", "false", "--agents", "1,2",
+                           "--vars", ",".join(f"p{i}" for i in range(10)), "--emit-formula")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 1025
+    assert lines[-1].startswith("formula: ") and lines[-1].count("~(~~true | ") == 1024
 
 
 def test_model_with_forty_variables_is_answered(tmp_path, capsys):

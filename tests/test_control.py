@@ -203,13 +203,12 @@ def test_delegation_demo_giving_away_loses_the_flip():
     assert not evaluate(DirectModel(sig, alloc, val), direct)
 
 
-def test_unknown_agent_is_refused_once_the_formula_has_a_model():
+def test_unknown_agent_is_refused_whatever_the_formula():
     sig, alloc, val = _demo_state()
     for decide in (delegation_can_achieve, characterize_second_order):
-        with pytest.raises(SignatureError, match="unknown agent 'zz'"):
-            decide(sig, alloc, val, "zz", Atom("p"))
-        # no model satisfies the formula, so no allocation is asked about
-        assert not decide(sig, alloc, val, "zz", Not(TOP))
+        for formula in (Atom("p"), Not(TOP)):  # with a model, and without one
+            with pytest.raises(SignatureError, match="unknown agent 'zz'"):
+                decide(sig, alloc, val, "zz", formula)
 
 
 def test_characterization_agrees_with_direct_evaluation():

@@ -306,3 +306,21 @@ def test_large_tables_are_dropped_without_changing_answers():
         for bits in rng.sample(range(256), 3):
             m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, bits))
             assert evaluate(m, f) == bool(rows[0] >> bits & 1)
+
+
+def test_long_program_chains_are_answered():
+    # 1,000 steps, arms or stars: walked in loops, not a frame per link
+    m = sample_model()
+    skips = parse_formula("<" + "; ".join(["skip"] * 1000) + ">true", m.sig)
+    assert evaluate(m, skips)
+    assert semantics.truth_rows(skips, m.sig) == semantics.truth_rows(TOP, m.sig)
+    assert program_image(m, skips.program) == [m]
+    give = Give("1", "p", "2")
+    for text, same in (("; ".join(["skip"] * 999 + ["give(1,p,2)"]), give),
+                       (" + ".join(["fail"] * 999 + ["give(1,p,2)"]), give),
+                       ("give(1,p,2)" + "*" * 1000, Star(give))):
+        program = parse_program(text, m.sig)
+        assert program_image(m, program) == program_image(m, same)
+        assert star_depth(m, program) == star_depth(m, same)
+        assert (semantics.truth_rows(DiaProg(program, Atom("p")), m.sig)
+                == semantics.truth_rows(DiaProg(same, Atom("p")), m.sig))

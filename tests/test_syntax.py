@@ -18,6 +18,7 @@ from propctl.syntax import (
     Test,
     TOP,
     bottom,
+    box,
     conj,
     controls,
     give_program,
@@ -79,6 +80,51 @@ def test_and_binds_tighter_than_or():
 def test_prefix_binds_tighter_than_and():
     got = parse_formula("dia{1}p & q")
     assert got == conj(Dia(frozenset({"1"}), P), Q)
+
+
+def test_prefix_run_applies_innermost_first():
+    got = parse_formula("~dia{1}<give(1,p,2)>[skip]box{2}p")
+    want = Not(Dia(frozenset({"1"}), DiaProg(Give("1", "p", "2"),
+                                              Not(DiaProg(Test(TOP), Not(box({"2"}, P)))))))
+    assert got == want
+    assert parse_formula("p <-> q <-> r & s | ~p -> q") == iff(
+        P, iff(Q, implies(Or(conj(R, Atom("s")), Not(P)), Q)))
+
+
+def test_deep_nesting_parses_or_is_refused():
+    f = parse_formula("~" * 3000 + "p")
+    for _ in range(3000):
+        f = f.body
+    assert f == P
+    for parse, inner in ((parse_formula, "p"), (parse_program, "skip")):
+        with pytest.raises(ParseError, match="nested too deeply") as err:
+            parse("(" * 2000 + inner + ")" * 2000)
+        assert err.value.line == 1 and 1 < err.value.col <= 2000
+
+
+def test_lexer_positions_golden():
+    # a tab or a "\r" is one column; a comment moves no column
+    text = "dia{1}\t(p <-> q)  # c\r\n  -> <give(1,p,2)>x_1 # end"
+    assert [(t.kind, t.text, t.line, t.col) for t in syntax._tokenize(text)] == [
+        ("keyword", "dia", 1, 1), ("{", "{", 1, 4), ("name", "1", 1, 5), ("}", "}", 1, 6),
+        ("(", "(", 1, 8), ("name", "p", 1, 9), ("<->", "<->", 1, 11), ("name", "q", 1, 15),
+        (")", ")", 1, 16), ("->", "->", 2, 3), ("<", "<", 2, 6), ("keyword", "give", 2, 7),
+        ("(", "(", 2, 11), ("name", "1", 2, 12), (",", ",", 2, 13), ("name", "p", 2, 14),
+        (",", ",", 2, 15), ("name", "2", 2, 16), (")", ")", 2, 17), (">", ">", 2, 18),
+        ("name", "x_1", 2, 19), ("end", "", 2, 23)]
+    for text, want in [
+        ("p & # comment", ("expected a formula, got 'end of input'", 1, 5)),
+        ("p\t&\tq\t)", ("unexpected trailing input ')'", 1, 7)),
+        ("p &\r\n q )", ("unexpected trailing input ')'", 2, 4)),
+        ("p & é", ("bad identifier 'é'", 1, 5)),
+        ("pé", ("bad identifier 'pé'", 1, 1)),
+        ("-", ("unexpected character '-'", 1, 1)),
+        ("p <- q", ("unexpected character '-'", 1, 4)),
+        ("x\n\t# c\n  y #", ("unexpected trailing input 'y'", 3, 3)),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert (err.value.message, err.value.line, err.value.col) == want, text
 
 
 def test_duplicate_coalition_members_collapse():
@@ -276,6 +322,13 @@ def test_render_preserves_program_grouping():
     right_nested = Choice(Give("1", "p", "2"), Choice(Give("2", "p", "1"), Test(TOP)))
     text = render(right_nested)
     assert parse_program(text) == right_nested
+
+
+def test_render_long_chains():
+    for text, parse in ((" | ".join(["p"] * 3000), parse_formula),
+                        ("; ".join(["give(1,p,2)"] * 3000), parse_program),
+                        (" + ".join(["skip"] * 3000), parse_program)):
+        assert render(parse(text)) == text
 
 
 _names = st.sampled_from(["p", "q", "r"])
