@@ -11,11 +11,10 @@ budget are truncated and flagged, never silently skipped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .decision import counterexample
-from .model import DirectModel, Signature, serialize_model
+from .model import Signature, Value, serialize_model
 from .syntax import (
     Atom,
     Choice,
@@ -45,23 +44,19 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Value):
     """Instantiation limits for the suite."""
 
-    formula_limit: int = 24
-    objective_limit: int = 16
-    program_limit: int = 12
-    per_scheme: int = 300
-    formula_depth: int = 2
+    __slots__ = ("formula_limit", "objective_limit", "program_limit", "per_scheme",
+                 "formula_depth")
+    _defaults = (24, 16, 12, 300, 2)
 
 
-@dataclass(frozen=True)
-class SuiteContext:
-    sig: Signature
-    formulas: tuple[Formula, ...]
-    objectives: tuple[Formula, ...]
-    programs: tuple[Program, ...]
+class SuiteContext(Value):
+    """The signature and the pools of formulas, objective formulas and
+    programs that schemes instantiate."""
+
+    __slots__ = ("sig", "formulas", "objectives", "programs")
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -79,13 +74,8 @@ class SuiteContext:
 
 
 def _dedup(items: Iterable, limit: int) -> tuple:
-    seen = []
-    for item in items:
-        if item not in seen:
-            seen.append(item)
-        if len(seen) == limit:
-            break
-    return tuple(seen)
+    """The first ``limit`` distinct items, in order."""
+    return tuple(itertools.islice(dict.fromkeys(items), limit))
 
 
 def formula_pool(sig: Signature, limit: int, depth: int = 2) -> tuple[Formula, ...]:
@@ -181,10 +171,10 @@ def make_context(sig: Signature, budget: Budget | None = None) -> SuiteContext:
 # ---------------------------------------------------------------------------
 # Scheme definitions.
 
-@dataclass(frozen=True)
-class Scheme:
-    name: str
-    instances: Callable[[SuiteContext], Iterator[Formula]]
+class Scheme(Value):
+    """A named generator of instances: ``instances(ctx)`` yields formulas."""
+
+    __slots__ = ("name", "instances")
 
 
 def _literals(ctx: SuiteContext):
@@ -420,12 +410,12 @@ SCHEMES: tuple[Scheme, ...] = (
 )
 
 
-@dataclass
-class SchemeResult:
-    name: str
-    checked: int
-    truncated: bool
-    counterexample: tuple[Formula, DirectModel] | None = None
+class SchemeResult(Value):
+    """Instances checked, whether the budget cut the scheme off, and the
+    first (instance, falsifying model), if any."""
+
+    __slots__ = ("name", "checked", "truncated", "counterexample")
+    _defaults = (None,)
 
     @property
     def ok(self) -> bool:
@@ -445,10 +435,11 @@ def _indent(text: str) -> str:
     return "\n".join("  " + line for line in text.rstrip("\n").split("\n"))
 
 
-@dataclass
-class SuiteReport:
-    sig: Signature
-    results: list[SchemeResult] = field(default_factory=list)
+class SuiteReport(Value):
+    __slots__ = ("sig", "results")
+
+    def __init__(self, sig: Signature, results: list[SchemeResult] | None = None) -> None:
+        self._assign(sig, [] if results is None else results)
 
     @property
     def ok(self) -> bool:

@@ -17,7 +17,6 @@ import json
 import sys
 
 from . import control, decision, normalform, semantics
-from .axioms import Budget, axiom_suite
 from .model import (
     Signature,
     SignatureError,
@@ -204,6 +203,7 @@ def _cmd_controls(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from .axioms import Budget, axiom_suite  # only this command needs the suite
     agents = tuple(str(i) for i in range(1, args.agents + 1))
     variables = tuple(f"p{i}" for i in range(1, args.vars + 1))
     sig = Signature(agents, variables)

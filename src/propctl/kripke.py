@@ -14,14 +14,13 @@ so each side must earn it separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     Allocation,
     DirectModel,
     Signature,
     SignatureError,
     Valuation,
+    Value,
     enumerate_allocations,
 )
 from .syntax import (
@@ -42,17 +41,15 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class PointedKripkeModel:
+class PointedKripkeModel(Value):
     """An allocation together with a distinguished world (valuation)."""
 
-    sig: Signature
-    alloc: Allocation
-    world: Valuation
+    __slots__ = ("sig", "alloc", "world")
 
-    def __post_init__(self) -> None:
-        if self.alloc.sig != self.sig or self.world.sig != self.sig:
+    def __init__(self, sig: Signature, alloc: Allocation, world: Valuation) -> None:
+        if alloc.sig != sig or world.sig != sig:
             raise SignatureError("pointed model components disagree on the signature")
+        self._assign(sig, alloc, world)
 
 
 def same_mod(v1: Valuation, v2: Valuation, variables) -> bool:

@@ -10,8 +10,7 @@ compared structurally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+import sys
 from typing import Iterator, Mapping
 
 
@@ -36,16 +35,114 @@ def is_valid_name(name: str) -> bool:
     return bool(_NAME_RE.fullmatch(name))
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Fixed, finite, non-empty agent and variable sets, canonically sorted."""
+_set = object.__setattr__  # sets a slot past the frozen ``Value.__setattr__``
 
-    agents: tuple[str, ...]
-    vars: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        agents = tuple(sorted(set(self.agents)))
-        variables = tuple(sorted(set(self.vars)))
+class _DataclassFields:
+    """``dataclasses.fields`` of a value class: those of a dataclass with the
+    same field names, made on first use.  Only a caller that has imported
+    ``dataclasses`` asks, so the package never imports it."""
+
+    made: dict[type, dict] = {}
+
+    def __get__(self, obj, cls):
+        if "dataclasses" not in sys.modules:
+            raise AttributeError("__dataclass_fields__")
+        if cls not in self.made:
+            made = sys.modules["dataclasses"].make_dataclass(cls.__name__, cls._fields)
+            self.made[cls] = made.__dataclass_fields__
+        return self.made[cls]
+
+
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields once, as its ``__slots__`` (as ``_fields``
+    if other slots hold derived values).  The base compiles, once per class,
+    ``_assign``, which sets the fields from arguments given in order or by
+    keyword, the last ones defaulting to ``_defaults``.  It is the
+    constructor, unless the class writes an ``__init__`` that checks or
+    converts its arguments and then calls it.  Fields cannot be reassigned.
+
+    The repr is ``Kind(field=value, ...)``, and ``==`` and ``hash`` are over
+    the kind and the field values.  A value caches its hash, computed from
+    the cached hashes of the values in its fields.  ``==`` compares each pair
+    of values once, and stops at a pair of different kinds or of different
+    cached hashes.  Neither recurses, and both take time linear in the
+    number of value objects however much a formula shares its subtrees.
+    """
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls._fields = cls.__dict__.get("_fields", cls.__dict__["__slots__"])
+        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in ("_hash", *fields)}
+        sets = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+        exec(f"def _assign(self, {', '.join(fields)}):{sets}\n    _set__hash(self, None)\n"
+             f"def _values(self): return ({''.join(f'self.{f}, ' for f in fields)})", scope)
+        cls._assign, cls._values = scope["_assign"], scope["_values"]
+        cls._assign.__defaults__ = cls.__dict__.get("_defaults")
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._assign
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __hash__(self) -> int:
+        if self._hash is not None:
+            return self._hash
+        stack = [self]
+        while stack:  # a value is hashed once the values in its fields are
+            value = stack[-1]
+            values = value._values()
+            todo = [v for v in values if isinstance(v, Value) and v._hash is None]
+            if todo:
+                stack.extend(todo)
+            else:
+                _set(stack.pop(), "_hash", hash((type(value), *values)))
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            x, y = stack.pop()
+            if x is y or (id(x), id(y)) in seen:
+                continue
+            if type(x) is not type(y):
+                return False
+            if x._hash is not None and y._hash is not None and x._hash != y._hash:
+                return False
+            seen.add((id(x), id(y)))
+            for u, v in zip(x._values(), y._values()):
+                if isinstance(u, Value):
+                    stack.append((u, v))
+                elif u != v:
+                    return False
+        return True
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._values()
+
+
+class Signature(Value):
+    """Fixed, finite, non-empty agent and variable sets, canonically sorted,
+    with each name's position."""
+
+    __slots__ = ("agents", "vars", "agent_index", "var_index")
+    _fields = ("agents", "vars")
+
+    def __init__(self, agents: tuple[str, ...], vars: tuple[str, ...]) -> None:
+        agents, variables = tuple(sorted(set(agents))), tuple(sorted(set(vars)))
         if not agents:
             raise SignatureError("signature needs at least one agent")
         if not variables:
@@ -53,20 +150,12 @@ class Signature:
         for name in agents + variables:
             if not is_valid_name(name):
                 raise SignatureError(f"bad identifier {name!r}")
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "vars", variables)
-
-    @cached_property
-    def agent_index(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.agents)}
-
-    @cached_property
-    def var_index(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.vars)}
+        self._assign(agents, variables)
+        _set(self, "agent_index", {a: i for i, a in enumerate(agents)})
+        _set(self, "var_index", {p: i for i, p in enumerate(variables)})
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Value):
     """Total assignment of every variable to exactly one owning agent.
 
     Stored as a tuple of agent indices aligned with ``sig.vars``; the
@@ -75,15 +164,15 @@ class Allocation:
     structural: a variable cannot be unowned or doubly owned.
     """
 
-    sig: Signature
-    owners: tuple[int, ...]
+    __slots__ = ("sig", "owners")
 
-    def __post_init__(self) -> None:
-        if len(self.owners) != len(self.sig.vars):
+    def __init__(self, sig: Signature, owners: tuple[int, ...]) -> None:
+        if len(owners) != len(sig.vars):
             raise SignatureError("allocation must cover every variable exactly once")
-        n = len(self.sig.agents)
-        if any(not (0 <= o < n) for o in self.owners):
+        n = len(sig.agents)
+        if any(not (0 <= o < n) for o in owners):
             raise SignatureError("allocation references an unknown agent")
+        self._assign(sig, owners)
 
     @classmethod
     def from_map(cls, sig: Signature, owner_by_var: Mapping[str, str]) -> Allocation:
@@ -149,16 +238,15 @@ class Allocation:
         return cls(sig, tuple(idx // n**j % n for j in range(len(sig.vars))))
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Value):
     """Total truth assignment, encoded as a bit pattern over the variable order."""
 
-    sig: Signature
-    bits: int
+    __slots__ = ("sig", "bits")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.bits < (1 << len(self.sig.vars))):
+    def __init__(self, sig: Signature, bits: int) -> None:
+        if not (0 <= bits < (1 << len(sig.vars))):
             raise SignatureError("valuation bits out of range for the signature")
+        self._assign(sig, bits)
 
     @classmethod
     def from_true_vars(cls, sig: Signature, true_vars) -> Valuation:
@@ -180,37 +268,30 @@ class Valuation:
         return tuple(p for j, p in enumerate(self.sig.vars) if self.bits >> j & 1)
 
 
-@dataclass(frozen=True)
-class DirectModel:
+class DirectModel(Value):
     """Signature plus allocation plus valuation: one complete state of the world."""
 
-    sig: Signature
-    alloc: Allocation
-    val: Valuation
+    __slots__ = ("sig", "alloc", "val")
 
-    def __post_init__(self) -> None:
-        if self.alloc.sig is not self.sig and self.alloc.sig != self.sig:
+    def __init__(self, sig: Signature, alloc: Allocation, val: Valuation) -> None:
+        if alloc.sig is not sig and alloc.sig != sig:
             raise SignatureError("allocation built over a different signature")
-        if self.val.sig is not self.sig and self.val.sig != self.sig:
+        if val.sig is not sig and val.sig != sig:
             raise SignatureError("valuation built over a different signature")
+        self._assign(sig, alloc, val)
 
     def index(self) -> int:
         """Canonical position in enumeration order (allocation major)."""
         return self.alloc.index() * (1 << len(self.sig.vars)) + self.val.bits
 
 
-@dataclass(frozen=True)
-class CValuation:
+class CValuation(Value):
     """Partial valuation on exactly the variables a coalition controls."""
 
-    coalition: frozenset[str]
-    domain: frozenset[str]
-    true_vars: frozenset[str]
+    __slots__ = ("coalition", "domain", "true_vars")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coalition", frozenset(self.coalition))
-        object.__setattr__(self, "domain", frozenset(self.domain))
-        object.__setattr__(self, "true_vars", frozenset(self.true_vars))
+    def __init__(self, coalition, domain, true_vars) -> None:
+        self._assign(frozenset(coalition), frozenset(domain), frozenset(true_vars))
         if not self.true_vars <= self.domain:
             raise SignatureError("coalition valuation assigns outside its domain")
 

@@ -14,10 +14,8 @@ single word operations per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import semantics
-from .model import Allocation, Signature, Valuation, enumerate_allocations
+from .model import Allocation, Signature, Valuation, Value, enumerate_allocations
 from .syntax import (
     Atom,
     Formula,
@@ -33,12 +31,11 @@ class BudgetError(ValueError):
     """A requested count would exceed the configured size budget."""
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Total map from allocations to their sets of satisfying valuations."""
+class NormalForm(Value):
+    """Total map from allocations to their sets of satisfying valuations:
+    ``rows`` holds one valuation bitmask per allocation, in canonical order."""
 
-    sig: Signature
-    rows: tuple[int, ...]
+    __slots__ = ("sig", "rows")
 
     @property
     def full_row(self) -> int:

@@ -37,7 +37,6 @@ is a single name or a brace-enclosed comma list (possibly empty).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial, reduce
 from typing import NamedTuple
 
@@ -45,90 +44,72 @@ from .model import (
     DirectModel,
     Signature,
     SignatureError,
+    Value,
     is_valid_name,
     model_from_dict,
 )
 
 
-class Formula:
+class Formula(Value):
     __slots__ = ()
 
 
-class Program:
+class Program(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Dia(Formula):
     """Coalition ability: some assignment to the coalition's variables makes
     the body true.  The coalition may be empty."""
 
-    coalition: frozenset[str]
-    body: Formula
+    __slots__ = ("coalition", "body")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coalition", frozenset(self.coalition))
+    def __init__(self, coalition, body: Formula) -> None:
+        self._assign(frozenset(coalition), body)
 
 
-@dataclass(frozen=True, slots=True)
 class DiaProg(Formula):
     """Program ability: some terminating run of the program reaches a state
     where the body is true."""
 
-    program: Program
-    body: Formula
+    __slots__ = ("program", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class Give(Program):
-    giver: str
-    var: str
-    receiver: str
+    __slots__ = ("giver", "var", "receiver")
 
 
-@dataclass(frozen=True, slots=True)
 class Seq(Program):
-    first: Program
-    second: Program
+    __slots__ = ("first", "second")
 
 
-@dataclass(frozen=True, slots=True)
 class Choice(Program):
-    left: Program
-    right: Program
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
 class Star(Program):
-    body: Program
+    __slots__ = ("body",)
 
 
-@dataclass(frozen=True, slots=True)
 class Test(Program):
     __test__ = False  # keep pytest from collecting the AST class
-
-    condition: Formula
+    __slots__ = ("condition",)
 
 
 TOP = Top()
@@ -252,8 +233,8 @@ def postorder(node) -> list:
     """Every node object of a formula or program once, children first.
 
     Sugar shares subtrees (``<->`` uses each operand twice), so nodes are
-    keyed on identity: hashing the frozen dataclasses would itself walk the
-    whole tree.  The walk keeps its own stack, so depth costs no recursion.
+    keyed on identity: a node object is listed once however many parents
+    it has.  The walk keeps its own stack, so depth costs no recursion.
     """
     out = []
     done: dict[int, bool] = {}  # visited node -> whether it is in ``out``
@@ -730,8 +711,11 @@ def _render_formula(f: Formula, level: int) -> str:
         return "true"
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, Not):
-        return "~" + _render_formula(f.body, _F_UNARY)
+    if isinstance(f, Not):  # a run of negations: a loop, not a frame per "~"
+        run = 0
+        while type(f) is Not:
+            f, run = f.body, run + 1
+        return "~" * run + _render_formula(f, _F_UNARY)
     if isinstance(f, Dia):
         inner = _render_formula(f.body, _F_OR)
         return "dia{" + ",".join(sorted(f.coalition)) + "}(" + inner + ")"
@@ -756,8 +740,11 @@ def _render_program(p: Program, level: int) -> str:
         if p.condition == Not(TOP):
             return "fail"
         return "(" + _render_formula(p.condition, _F_OR) + ")?"
-    if isinstance(p, Star):
-        return _render_program(p.body, _P_BASE) + "*"
+    if isinstance(p, Star):  # a run of stars, in a loop like negations
+        run = 0
+        while type(p) is Star:
+            p, run = p.body, run + 1
+        return _render_program(p, _P_BASE) + "*" * run
     if isinstance(p, Seq):
         if type(p.first) is Seq:
             text = "; ".join([_render_program(q, _P_STAR) for q in operands(p)])

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -225,6 +229,20 @@ def test_axioms_command(capsys):
     record = json.loads(out)
     assert record["ok"] is True
     assert len(record["schemes"]) > 20
+
+
+def test_import_leaves_out_dataclasses_and_the_axiom_suite(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, propctl.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'propctl.axioms'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "[]"
+    # The one command that loads the suite still prints its golden output.
+    argv = ["axioms", "--agents", "2", "--vars", "2", "--limit", "1"]
+    golden = json.loads((src.parent / "bench" / "data" / "cli.json").read_text(encoding="utf-8"))
+    [item] = [item for item in golden["items"] if item["argv"] == argv]
+    assert run_cli(capsys, *argv)[:2] == (item["exit"], item["stdout"])
 
 
 def test_parse_error_exit_two(model_file, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -327,8 +329,24 @@ def test_render_preserves_program_grouping():
 def test_render_long_chains():
     for text, parse in ((" | ".join(["p"] * 3000), parse_formula),
                         ("; ".join(["give(1,p,2)"] * 3000), parse_program),
-                        (" + ".join(["skip"] * 3000), parse_program)):
-        assert render(parse(text)) == text
+                        (" + ".join(["skip"] * 3000), parse_program),
+                        ("~" * 3000 + "p", parse_formula),
+                        ("skip" + "*" * 3000, parse_program)):
+        node = parse(text)
+        assert render(node) == text
+        assert parse(render(node)) == node
+
+
+def test_hash_and_eq_are_linear_on_shared_sugar():
+    # Each "<->" uses both operands twice, so the tree grows fourfold per two
+    # operands while the parse has a few hundred node objects.
+    text = " <-> ".join(f"p{i}" for i in range(22))
+    left, right, other = (parse_formula(t) for t in (text, text, text.replace("p21", "q")))
+    start = time.perf_counter()
+    assert left == right and left != other  # before any hash is cached
+    assert hash(left) == hash(right)
+    assert {left, right, other} == {left, other}
+    assert time.perf_counter() - start < 0.5
 
 
 _names = st.sampled_from(["p", "q", "r"])
