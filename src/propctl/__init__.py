@@ -12,7 +12,6 @@ from .control import (
 from .decision import (
     counterexample,
     default_signature,
-    entails,
     satisfiable,
     valid,
 )
@@ -29,13 +28,10 @@ from .model import (
     enumerate_allocations,
     enumerate_models,
     enumerate_valuations,
-    model_size,
     serialize_model,
 )
 from .normalform import (
-    BudgetError,
     NormalForm,
-    description_counts,
     equivalent,
     nf_to_formula,
     normal_form,

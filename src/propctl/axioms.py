@@ -74,8 +74,18 @@ class SuiteContext(Value):
 
 
 def _dedup(items: Iterable, limit: int) -> tuple:
-    """The first ``limit`` distinct items, in order."""
-    return tuple(itertools.islice(dict.fromkeys(items), limit))
+    """The first ``limit`` distinct items, in order.  Reads no item past the
+    last one it takes, so a pool built lazily stops growing there."""
+    seen: set = set()
+    fresh = (item for item in items if item not in seen and not seen.add(item))
+    return tuple(itertools.islice(fresh, limit))
+
+
+def _padding(items: list, limit: int) -> Iterator[Formula]:
+    """Disjunctions of pairs of the items, in order: enough to make
+    ``3 * limit`` items in all, and at least one."""
+    pairs = itertools.product(items, repeat=2)
+    return itertools.starmap(Or, itertools.islice(pairs, max(1, 3 * limit - len(items))))
 
 
 def formula_pool(sig: Signature, limit: int, depth: int = 2) -> tuple[Formula, ...]:
@@ -106,18 +116,19 @@ def formula_pool(sig: Signature, limit: int, depth: int = 2) -> tuple[Formula, .
         Dia(everyone, Or(p0, Not(p0))),
         conj(controls({a0}, p0), Not(controls({a1}, p0))),
     ]
-    # Each extra depth level wraps the most recent layer in one more modality.
-    layer = list(items)
-    for _ in range(max(0, depth - 2)):
-        layer = [Dia(frozenset({a0}), f) for f in layer[:6]] + \
-                [box_prog(g, f) for f in layer[:3]]
-        items.extend(layer)
-    # Pad with fresh disjunctions if the limit asks for more.
-    for left, right in itertools.product(list(items), repeat=2):
-        items.append(Or(left, right))
-        if len(items) >= 3 * limit:
-            break
-    return _dedup(items, limit)
+
+    def grown():  # read by ``_dedup`` only until it has ``limit`` formulas
+        # Each extra depth level wraps the most recent layer in one more modality.
+        layer = list(items)
+        yield from layer
+        for _ in range(max(0, depth - 2)):
+            layer = [Dia(frozenset({a0}), f) for f in layer[:6]] + \
+                    [box_prog(g, f) for f in layer[:3]]
+            items.extend(layer)
+            yield from layer
+        yield from _padding(items, limit)  # fresh disjunctions, if the limit asks for more
+
+    return _dedup(grown(), limit)
 
 
 def objective_pool(sig: Signature, limit: int) -> tuple[Formula, ...]:
@@ -129,11 +140,7 @@ def objective_pool(sig: Signature, limit: int) -> tuple[Formula, ...]:
     items.append(conj(atoms[0], atoms[-1]))
     items.append(implies(atoms[0], atoms[-1]))
     items.append(Or(Not(atoms[0]), conj(atoms[0], atoms[-1])))
-    for left, right in itertools.product(list(items), repeat=2):
-        items.append(Or(left, right))
-        if len(items) >= 3 * limit:
-            break
-    return _dedup(items, limit)
+    return _dedup(itertools.chain(items, _padding(items, limit)), limit)
 
 
 def program_pool(sig: Signature, objectives, limit: int) -> tuple[Program, ...]:

@@ -13,7 +13,6 @@ any other failure, reported in one line on stderr without a traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import control, decision, normalform, semantics
@@ -47,10 +46,22 @@ def _split_names(raw: str) -> tuple[str, ...]:
 
 def _emit(args, record: dict, text_lines: list[str]) -> None:
     if args.json:
+        import json  # only --json output needs it
         print(json.dumps(record, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
+
+
+def _positive_int(text: str) -> int:
+    """A whole number of at least 1; argparse refuses anything else (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _verdict_exit(answer: bool) -> int:
@@ -75,11 +86,9 @@ def _cmd_run(args) -> int:
     program = parse_program(args.program, model.sig)
     image = semantics.program_image(model, program)
     if args.json:
-        record = {"command": "run", "models": [model_to_dict(m) for m in image]}
-        print(json.dumps(record, sort_keys=True))
+        _emit(args, {"command": "run", "models": [model_to_dict(m) for m in image]}, [])
     else:
-        blocks = [serialize_model(m) for m in image]
-        print("\n".join(blocks), end="")
+        print("\n".join(serialize_model(m) for m in image), end="")
     return 0
 
 
@@ -211,21 +220,16 @@ def _cmd_axioms(args) -> int:
     if args.limit:
         overrides["per_scheme"] = args.limit
     report = axiom_suite(sig, Budget(**overrides))
-    if args.json:
-        schemes = []
-        for r in report.results:
-            entry = {"name": r.name, "ok": r.ok, "checked": r.checked,
-                     "truncated": r.truncated, "counterexample": None}
-            if r.counterexample is not None:
-                instance, model = r.counterexample
-                entry["counterexample"] = {"instance": render(instance),
-                                           "model": model_to_dict(model)}
-            schemes.append(entry)
-        record = {"command": "axioms", "ok": report.ok, "schemes": schemes}
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for line in report.lines():
-            print(line)
+    schemes = []
+    for r in report.results:
+        entry = {"name": r.name, "ok": r.ok, "checked": r.checked,
+                 "truncated": r.truncated, "counterexample": None}
+        if r.counterexample is not None:
+            instance, model = r.counterexample
+            entry["counterexample"] = {"instance": render(instance),
+                                       "model": model_to_dict(model)}
+        schemes.append(entry)
+    _emit(args, {"command": "axioms", "ok": report.ok, "schemes": schemes}, report.lines())
     return 0 if report.ok else 1
 
 
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", type=int, required=True, help="number of variables")
     p.add_argument("--depth", type=int, default=2,
                    help="modal depth of the instantiation formula pool")
-    p.add_argument("--limit", type=int, help="instance cap per scheme")
+    p.add_argument("--limit", type=_positive_int, help="instance cap per scheme")
     add_json(p)
     p.set_defaults(func=_cmd_axioms)
 

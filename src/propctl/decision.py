@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .model import Allocation, DirectModel, Signature, Valuation
 from .semantics import truth_rows
-from .syntax import Formula, Not, conj_all, implies, signature_of
+from .syntax import Formula, Not, signature_of
 
 
 def _fresh(base: str, taken) -> str:
@@ -57,8 +57,3 @@ def counterexample(formula: Formula, sig: Signature | None = None) -> DirectMode
         sig = default_signature(formula)
     return satisfiable(Not(formula), sig)
 
-
-def entails(premises, conclusion: Formula, sig: Signature | None = None) -> bool:
-    """Finite entailment: validity of (conjunction of premises -> conclusion)."""
-    combined = implies(conj_all(premises), conclusion)
-    return valid(combined, sig)

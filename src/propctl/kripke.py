@@ -52,16 +52,6 @@ class PointedKripkeModel(Value):
         self._assign(sig, alloc, world)
 
 
-def same_mod(v1: Valuation, v2: Valuation, variables) -> bool:
-    """Whether two valuations differ at most in the given variables."""
-    if v1.sig != v2.sig:
-        raise SignatureError("valuations live over different signatures")
-    mask = 0
-    for p in variables:
-        mask |= 1 << v1.sig.var_index[p]
-    return (v1.bits ^ v2.bits) & ~mask == 0
-
-
 def _eval_k(pm: PointedKripkeModel, f: Formula) -> bool:
     if isinstance(f, Atom):
         return pm.world.value(f.name)

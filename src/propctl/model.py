@@ -16,10 +16,10 @@ from typing import Iterator, Mapping
 
 __all__ = [
     "SignatureError", "Signature", "Allocation", "Valuation", "DirectModel",
-    "CValuation", "apply_cvaluation", "c_valuations", "atomic_transfer",
+    "CValuation", "apply_cvaluation", "atomic_transfer",
     "enumerate_allocations", "enumerate_valuations", "enumerate_models",
-    "model_count", "model_size", "serialize_model", "model_to_dict",
-    "model_from_dict", "is_valid_name",
+    "model_count", "serialize_model", "model_to_dict", "model_from_dict",
+    "is_valid_name",
 ]
 
 
@@ -158,8 +158,8 @@ class Signature(Value):
 class Allocation(Value):
     """Total assignment of every variable to exactly one owning agent.
 
-    Stored as a tuple of agent indices aligned with ``sig.vars``; the
-    partition view (which agent owns which set of variables) is derived.
+    Stored as a tuple of agent indices aligned with ``sig.vars``; each
+    agent's share of the partition (``owned_by``) is derived.
     Totality of the owner map is what makes the partition property
     structural: a variable cannot be unowned or doubly owned.
     """
@@ -202,9 +202,6 @@ class Allocation(Value):
             raise SignatureError(f"unknown agent {agent!r}")
         i = self.sig.agent_index[agent]
         return tuple(p for p, o in zip(self.sig.vars, self.owners) if o == i)
-
-    def partition(self) -> dict[str, tuple[str, ...]]:
-        return {a: self.owned_by(a) for a in self.sig.agents}
 
     def controlled_vars(self, coalition) -> frozenset[str]:
         idxs = {self.sig.agent_index[a] for a in coalition}
@@ -316,16 +313,6 @@ def apply_cvaluation(model: DirectModel, cval: CValuation) -> DirectModel:
     return DirectModel(model.sig, model.alloc, Valuation(model.sig, bits))
 
 
-def c_valuations(model: DirectModel, coalition) -> Iterator[CValuation]:
-    """All assignments to the coalition's variables, in canonical order."""
-    domain = model.alloc.controlled_vars(coalition)
-    ordered = [p for p in model.sig.vars if p in domain]
-    coalition = frozenset(coalition)
-    for bits in range(1 << len(ordered)):
-        true_vars = frozenset(p for j, p in enumerate(ordered) if bits >> j & 1)
-        yield CValuation(coalition, domain, true_vars)
-
-
 def atomic_transfer(model: DirectModel, giver: str, var: str, receiver: str) -> DirectModel | None:
     """One ownership handover; ``None`` when the giver does not own the variable.
 
@@ -364,11 +351,6 @@ def model_count(sig: Signature) -> int:
     n = len(sig.agents)
     k = len(sig.vars)
     return n**k * 2**k
-
-
-def model_size(model: DirectModel) -> int:
-    """Agent count plus variable count."""
-    return len(model.sig.agents) + len(model.sig.vars)
 
 
 def serialize_model(model: DirectModel) -> str:

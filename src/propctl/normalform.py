@@ -27,10 +27,6 @@ from .syntax import (
 )
 
 
-class BudgetError(ValueError):
-    """A requested count would exceed the configured size budget."""
-
-
 class NormalForm(Value):
     """Total map from allocations to their sets of satisfying valuations:
     ``rows`` holds one valuation bitmask per allocation, in canonical order."""
@@ -48,10 +44,6 @@ class NormalForm(Value):
             for bits in range(1 << len(self.sig.vars))
             if row >> bits & 1
         )
-
-    def complement(self) -> NormalForm:
-        full = self.full_row
-        return NormalForm(self.sig, tuple(full ^ row for row in self.rows))
 
 
 def normal_form(formula: Formula, sig: Signature) -> NormalForm:
@@ -89,22 +81,3 @@ def equivalent(left: Formula, right: Formula, sig: Signature) -> bool:
     """Whether the two formulas agree on every model of the signature."""
     return normal_form(left, sig) == normal_form(right, sig)
 
-
-def description_counts(n: int, k: int, max_digits: int = 20_000) -> tuple[int, int, int, int]:
-    """Counting bounds for n agents and k variables.
-
-    Returns (valuation descriptions, allocation descriptions, the
-    non-equivalent-formula bound 2**(n*k), and the proposition-description
-    bound 2**2**(n*k)), as exact integers.  Refuses when the final value
-    would exceed the decimal digit budget.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("need at least one agent and one variable")
-    exponent = 2 ** (n * k)
-    # 2**exponent has about exponent * log10(2) decimal digits.
-    if exponent * 30103 > max_digits * 100_000:
-        raise BudgetError(
-            f"2**2**{n * k} would have ~{exponent * 30103 // 100_000} digits, "
-            f"budget is {max_digits}"
-        )
-    return (2**k, n**k, 2 ** (n * k), 2**exponent)

@@ -179,11 +179,6 @@ def choice_all(programs) -> Program:
     return reduce(Choice, items) if items else Test(bottom())
 
 
-def seq_all(programs) -> Program:
-    items = list(programs)
-    return reduce(Seq, items) if items else Test(TOP)
-
-
 def give_program(givers, receivers, sig: Signature) -> Program:
     """Nondeterministic handover: any giver passes any variable it currently
     controls to any receiver, or keeps it.
@@ -771,8 +766,3 @@ def render(node) -> str:
     if isinstance(node, Program):
         return _render_program(node, _P_CHOICE)
     raise TypeError(f"not a formula or program: {node!r}")
-
-
-def is_objective(f: Formula) -> bool:
-    """True when the formula contains no ability or program modality."""
-    return all(type(node) in (Top, Atom, Not, Or) for node in postorder(f))

@@ -8,6 +8,7 @@ import itertools
 import random
 import time
 from contextlib import contextmanager
+from functools import reduce
 
 from propctl import kripke, semantics
 from propctl.axioms import Scheme, axiom_suite, check_scheme, make_context
@@ -32,6 +33,7 @@ from propctl.syntax import (
     Dia,
     DiaProg,
     Give,
+    Seq,
     Star,
     TOP,
     box_prog,
@@ -43,7 +45,6 @@ from propctl.syntax import (
     parse_formula,
     parse_program,
     second_order_controls,
-    seq_all,
 )
 
 from helpers import SAMPLE_MODEL_TEXT, random_formula, random_program, sample_model
@@ -281,7 +282,7 @@ def test_criterion_7_delegation_scenarios():
             while cur != j:
                 steps.append(grant_req(cur))
                 cur = _cyclic(agents, cur, 1)
-            return seq_all(steps)
+            return reduce(Seq, steps)
 
         for i, j in itertools.permutations(agents, 2):
             arc = []

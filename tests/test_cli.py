@@ -231,10 +231,30 @@ def test_axioms_command(capsys):
     assert len(record["schemes"]) > 20
 
 
+@pytest.mark.parametrize("limit", ["0", "-1", "x"])
+def test_axioms_limit_must_be_positive(capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", "--agents", "1", "--vars", "1", f"--limit={limit}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --limit: expected a positive integer, got '{limit}'" in captured.err
+
+
+def test_axioms_deep_pool_is_cut_at_its_limit():
+    # Layers past the pool's limit are never built, so the depth costs nothing.
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["axioms", "--agents", "1", "--vars", "1", "--depth", "20000", "--limit", "1"]
+    proc = subprocess.run([sys.executable, "-m", "propctl.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("signature: agents 1; vars p1\n")
+
+
 def test_import_leaves_out_dataclasses_and_the_axiom_suite(capsys):
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = ("import sys, propctl.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'propctl.axioms'} & set(sys.modules)))")
+    probe = ("import sys, propctl.cli; print(sorted("
+             "{'dataclasses', 'inspect', 'json', 'propctl.axioms'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert proc.stdout.strip() == "[]"
@@ -379,3 +399,55 @@ def test_cli_fuzz_exits_with_documented_code(fuzz_model_file, command, tokens, j
     assert "Traceback" not in err.getvalue()
     if code >= 2:
         assert len(err.getvalue().splitlines()) == 1
+
+
+_FUZZ_NAMES = ["", "0", "1", "2", "-1", "1,2", "zz", "1,zz", ","]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["axioms", "nf", "run", "controls"]), data=st.data(),
+       as_json=st.booleans())
+def test_cli_fuzz_subcommand_flags(fuzz_model_file, command, data, as_json):
+    small, names = st.integers(-2, 3).map(str), st.sampled_from(_FUZZ_NAMES)
+    if command == "axioms":
+        argv = ["axioms", f"--agents={data.draw(small)}", f"--vars={data.draw(small)}",
+                f"--depth={data.draw(small)}",
+                f"--limit={data.draw(st.integers(-2, 2).map(str))}"]  # at most 2: fast
+    elif command == "nf":
+        argv = ["nf", data.draw(st.sampled_from(["p", "controls(1,p)", "CONTROLS(2,p)", "zz"])),
+                f"--agents={data.draw(names)}",
+                f"--vars={data.draw(st.sampled_from(['', '0', 'p', 'p,q', 'zz']))}"]
+    elif command == "run":
+        program = data.draw(st.sampled_from(["give(1,p,2)", "giveall(1)", "giveall(zz)",
+                                             "giveall({} -> {1,2})", "give(zz,p,1)"]))
+        argv = ["run", "--model", fuzz_model_file, "--program", program]
+    else:
+        argv = ["controls", "--model", fuzz_model_file,
+                "--formula", data.draw(st.sampled_from(["p", "q", "controls(2,p)", "zz"]))]
+        for flag in ["--coalition", "--agent"]:
+            value = data.draw(st.none() | names)
+            if value is not None:
+                argv.append(f"{flag}={value}")
+        if data.draw(st.booleans()):
+            argv.append("--second-order")
+    if as_json:
+        argv.append("--json")
+    out, err, refused = io.StringIO(), io.StringIO(), False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag value, after its usage lines
+            code, refused = exc.code, True
+    assert code in range(6), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code >= 2 and not refused:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+    if command == "axioms" and code == 0:
+        # A pass has checked something: no scheme is cut off before its first instance.
+        if as_json:
+            cut = [s["name"] for s in json.loads(out.getvalue())["schemes"]
+                   if s["truncated"] and not s["checked"]]
+        else:
+            cut = [line for line in out.getvalue().splitlines()
+                   if line.endswith(" 0 instance(s) (truncated)")]
+        assert not cut, (argv, cut)

@@ -32,7 +32,6 @@ from propctl.syntax import (
     controls,
     give_program,
     implies,
-    is_objective,
     parse_formula,
     second_order_controls,
     signature_of,
@@ -289,8 +288,6 @@ def test_owning_every_variable_of_a_feasible_objective_gives_control():
     checked = 0
     while checked < 15:
         f = random_objective(rng, SIG22, 3)
-        if not is_objective(f):
-            continue
         if satisfiable(f, SIG22) is None or valid(f, SIG22):
             continue  # needs a feasible goal
         props, _ = signature_of(f)

@@ -9,12 +9,14 @@ from propctl.axioms import (
     allocation_axiom,
     axiom_suite,
     check_scheme,
+    formula_pool,
     make_context,
+    objective_pool,
+    program_pool,
 )
 from propctl.decision import (
     counterexample,
     default_signature,
-    entails,
     satisfiable,
     valid,
 )
@@ -23,16 +25,23 @@ from propctl.normalform import normal_form
 from propctl.semantics import evaluate
 from propctl.syntax import (
     Atom,
+    Choice,
     Dia,
     DiaProg,
     Give,
     Not,
     Or,
+    Seq,
+    Star,
     TOP,
+    Test,
+    bottom,
+    box,
     box_prog,
     conj,
     controls,
     disj_all,
+    give_program,
     iff,
     implies,
     nabla,
@@ -140,12 +149,6 @@ def test_counterexample_reverifies():
     assert not evaluate(cex, f)
 
 
-def test_entailment():
-    premises = [parse_formula("p -> q"), parse_formula("p")]
-    assert entails(premises, parse_formula("q"))
-    assert not entails(premises, parse_formula("~q"))
-
-
 # --- normal-form agreement ---------------------------------------------------
 
 def test_decision_agrees_with_table():
@@ -226,6 +229,79 @@ def test_truncation_is_reported_not_silent():
     big = [r for r in report.results if r.truncated]
     assert big, "tiny budgets must flag truncated schemes"
     assert all(r.checked == 2 for r in big)
+
+
+def _eager_dedup(items, limit):
+    return tuple(itertools.islice(dict.fromkeys(items), limit))
+
+
+def _eager_formula_pool(sig, limit, depth):
+    # The pool as first written: every layer and every padding disjunction
+    # built before the first ``limit`` distinct items are taken.
+    a0, a1 = sig.agents[0], sig.agents[-1]
+    p0, p1 = Atom(sig.vars[0]), Atom(sig.vars[-1])
+    g = Give(a0, sig.vars[0], a1)
+    everyone = frozenset(sig.agents)
+    items = [
+        TOP, p0, p1, Not(p0), bottom(), Or(p0, Not(p1)), conj(p0, p1),
+        Dia(frozenset(), p0), Dia(frozenset({a0}), conj(p0, Not(p1))),
+        box(frozenset({a1}), Or(p0, p1)), controls({a0}, p1), DiaProg(g, TOP),
+        DiaProg(g, Dia(frozenset({a1}), p0)), box_prog(g, Not(p1)),
+        DiaProg(Star(g), controls({a1}, p0)),
+        Or(Dia(frozenset({a0}), p0), Not(Dia(everyone, p1))),
+        implies(p0, Dia(frozenset({a1}), p1)), Not(DiaProg(Test(p0), p1)),
+        Dia(everyone, Or(p0, Not(p0))),
+        conj(controls({a0}, p0), Not(controls({a1}, p0))),
+    ]
+    layer = list(items)
+    for _ in range(max(0, depth - 2)):
+        layer = [Dia(frozenset({a0}), f) for f in layer[:6]] + \
+                [box_prog(g, f) for f in layer[:3]]
+        items.extend(layer)
+    for left, right in itertools.product(list(items), repeat=2):
+        items.append(Or(left, right))
+        if len(items) >= 3 * limit:
+            break
+    return _eager_dedup(items, limit)
+
+
+def _eager_objective_pool(sig, limit):
+    atoms = [Atom(p) for p in sig.vars]
+    items = [TOP, bottom(), *atoms, *(Not(a) for a in atoms),
+             Or(atoms[0], Not(atoms[-1])), conj(atoms[0], atoms[-1]),
+             implies(atoms[0], atoms[-1]), Or(Not(atoms[0]), conj(atoms[0], atoms[-1]))]
+    for left, right in itertools.product(list(items), repeat=2):
+        items.append(Or(left, right))
+        if len(items) >= 3 * limit:
+            break
+    return _eager_dedup(items, limit)
+
+
+def _eager_program_pool(sig, objectives, limit):
+    a0, a1 = sig.agents[0], sig.agents[-1]
+    p0, p1 = sig.vars[0], sig.vars[-1]
+    give0, give_back = Give(a0, p0, a1), Give(a1, p0, a0)
+    items = [give0, give_back, Give(a0, p1, a0), Test(TOP),
+             Test(objectives[2] if len(objectives) > 2 else TOP), Seq(Test(Atom(p0)), give0),
+             Choice(give0, Give(a0, p1, a1)), Seq(give0, give_back), Star(give0),
+             Star(Choice(give0, give_back)), give_program({a0}, sig.agents, sig)]
+    return _eager_dedup(items, limit)
+
+
+def test_lazy_pools_equal_the_eager_ones():
+    for n, k in [(1, 1), (2, 2), (2, 3), (3, 3)]:
+        sig = Signature(tuple(str(i) for i in range(1, n + 1)),
+                        tuple(f"p{i}" for i in range(1, k + 1)))
+        for depth in range(9):
+            for limit in range(1, 61):
+                assert formula_pool(sig, limit, depth) == \
+                    _eager_formula_pool(sig, limit, depth), (n, k, depth, limit)
+        for limit in range(1, 41):
+            objectives = objective_pool(sig, limit)
+            assert objectives == _eager_objective_pool(sig, limit), (n, k, limit)
+            for cap in range(1, 21):
+                assert program_pool(sig, objectives, cap) == \
+                    _eager_program_pool(sig, objectives, cap), (n, k, limit, cap)
 
 
 def test_corrupted_transfer_scheme_is_caught():

@@ -1,13 +1,8 @@
 import random
 
 from propctl import semantics
-from propctl.kripke import (
-    cross_check,
-    evaluate,
-    pointed_of,
-    same_mod,
-)
-from propctl.model import Signature, enumerate_valuations
+from propctl.kripke import cross_check, evaluate, pointed_of
+from propctl.model import Signature
 from propctl.syntax import TOP, parse_formula
 
 from helpers import models_of, random_formula, random_program, sample_model
@@ -52,22 +47,6 @@ def test_cross_check_single_atom_tiny_signature():
 def test_cross_check_control_is_transferability_one_var():
     sig = Signature(("i", "j"), ("p",))
     assert cross_check(sig, parse_formula("controls(i,p) <-> <give(i,p,j)>true"))
-
-
-def test_world_relation_is_an_equivalence():
-    # reflexive, symmetric, transitive for the per-agent agreement predicate
-    sig = SIG22
-    vals = list(enumerate_valuations(sig))
-    for m in models_of(sig)[:4]:
-        for agent in sig.agents:
-            mine = m.alloc.controlled_vars({agent})
-            for v1 in vals:
-                assert same_mod(v1, v1, mine)
-                for v2 in vals:
-                    assert same_mod(v1, v2, mine) == same_mod(v2, v1, mine)
-                    for v3 in vals:
-                        if same_mod(v1, v2, mine) and same_mod(v2, v3, mine):
-                            assert same_mod(v1, v3, mine)
 
 
 def test_vertical_moves_fix_the_world():
