@@ -185,9 +185,11 @@ class Scheme(Value):
 
 
 def _literals(ctx: SuiteContext):
+    """Each literal, its complement, and its atom."""
     for p in ctx.vars:
-        yield Atom(p), Not(Atom(p))
-        yield Not(Atom(p)), Atom(p)
+        atom, other = Atom(p), Atom(p)
+        yield atom, Not(other), atom
+        yield Not(atom), other, atom
 
 
 def _prop_tautologies(ctx: SuiteContext) -> Iterator[Formula]:
@@ -327,8 +329,7 @@ def _transfer_functional(ctx: SuiteContext) -> Iterator[Formula]:
 
 def _flip_own_literal(ctx: SuiteContext) -> Iterator[Formula]:
     for i in ctx.agents:
-        for lit, flipped in _literals(ctx):
-            p = lit if isinstance(lit, Atom) else lit.body
+        for lit, flipped, p in _literals(ctx):
             yield implies(conj(lit, controls({i}, p)), Dia(frozenset({i}), flipped))
 
 
@@ -336,14 +337,13 @@ def _outsider_fixed_literal(ctx: SuiteContext) -> Iterator[Formula]:
     for i, j in itertools.product(ctx.agents, repeat=2):
         if i == j:
             continue
-        for lit, flipped in _literals(ctx):
+        for lit, flipped, _ in _literals(ctx):
             yield implies(lit, implies(Dia(frozenset({i}), flipped), box({j}, lit)))
 
 
 def _non_effect(ctx: SuiteContext) -> Iterator[Formula]:
     for i in ctx.agents:
-        for lit, _ in _literals(ctx):
-            p = lit if isinstance(lit, Atom) else lit.body
+        for lit, _, p in _literals(ctx):
             yield implies(conj(Dia(frozenset({i}), lit), Not(controls({i}, p))),
                           box({i}, lit))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable
 
 from . import control, decision, normalform, semantics
 from .model import (
@@ -35,33 +36,43 @@ from .syntax import (
 )
 
 
-def _read_model(path: str):
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read())
+        return handle.read()
 
 
 def _split_names(raw: str) -> tuple[str, ...]:
     return tuple(name for name in raw.replace(",", " ").split() if name)
 
 
-def _emit(args, record: dict, text_lines: list[str]) -> None:
+def _emit(args, record: dict, text_lines: Iterable[str]) -> None:
+    """Print the record as JSON (a model as ``model_to_dict`` gives it), or
+    else the text lines, in one write."""
     if args.json:
         import json  # only --json output needs it
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(record, sort_keys=True, default=model_to_dict))
     else:
-        for line in text_lines:
-            print(line)
+        sys.stdout.write("".join(line + "\n" for line in text_lines))
 
 
-def _positive_int(text: str) -> int:
-    """A whole number of at least 1; argparse refuses anything else (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _at_least(minimum: int, kind: str):
+    """An argparse type: a whole number of at least ``minimum``; argparse
+    refuses anything else (exit 2), naming the ``kind`` it expected."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+        return value
+    return parse
+
+
+def _signature(sig: Signature) -> tuple[dict, str]:
+    """The signature as a JSON record and as text."""
+    return ({"agents": list(sig.agents), "vars": list(sig.vars)},
+            f"agents {{{','.join(sig.agents)}}}, vars {{{','.join(sig.vars)}}}")
 
 
 def _verdict_exit(answer: bool) -> int:
@@ -69,12 +80,8 @@ def _verdict_exit(answer: bool) -> int:
 
 
 def _cmd_check(args) -> int:
-    model = _read_model(args.model)
-    if args.formula_file:
-        with open(args.formula_file, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = args.formula
+    model = parse_model(_read(args.model))
+    text = _read(args.formula_file) if args.formula_file else args.formula
     formula = parse_formula(text, model.sig)
     answer = semantics.evaluate(model, formula)
     _emit(args, {"command": "check", "result": answer}, ["true" if answer else "false"])
@@ -82,13 +89,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    model = _read_model(args.model)
+    model = parse_model(_read(args.model))
     program = parse_program(args.program, model.sig)
     image = semantics.program_image(model, program)
-    if args.json:
-        _emit(args, {"command": "run", "models": [model_to_dict(m) for m in image]}, [])
-    else:
-        print("\n".join(serialize_model(m) for m in image), end="")
+    # the models' blocks, a blank line apart; built only for text output
+    blocks = (("\n" if k else "") + serialize_model(m).rstrip("\n") for k, m in enumerate(image))
+    _emit(args, {"command": "run", "models": image}, blocks)
     return 0
 
 
@@ -114,17 +120,11 @@ def _parse_with_signature(texts, agents: str | None, variables: str | None):
 def _cmd_sat(args) -> int:
     [formula], sig = _parse_with_signature([args.formula], args.agents, args.vars)
     witness = decision.satisfiable(formula, sig)
-    record = {
-        "command": "sat",
-        "satisfiable": witness is not None,
-        "signature": {"agents": list(sig.agents), "vars": list(sig.vars)},
-        "witness": model_to_dict(witness) if witness else None,
-    }
-    lines = []
-    if witness is None:
-        lines.append(f"unsatisfiable over agents {{{','.join(sig.agents)}}}, vars {{{','.join(sig.vars)}}}")
-    else:
-        lines.append(f"satisfiable over agents {{{','.join(sig.agents)}}}, vars {{{','.join(sig.vars)}}}")
+    signature, over = _signature(sig)
+    record = {"command": "sat", "satisfiable": witness is not None, "signature": signature,
+              "witness": witness}
+    lines = [f"{'unsatisfiable' if witness is None else 'satisfiable'} over {over}"]
+    if witness is not None:
         lines.append(serialize_model(witness).rstrip("\n"))
     _emit(args, record, lines)
     return _verdict_exit(witness is not None)
@@ -133,14 +133,10 @@ def _cmd_sat(args) -> int:
 def _cmd_valid(args) -> int:
     [formula], sig = _parse_with_signature([args.formula], args.agents, args.vars)
     cex = decision.counterexample(formula, sig)
-    record = {
-        "command": "valid",
-        "valid": cex is None,
-        "signature": {"agents": list(sig.agents), "vars": list(sig.vars)},
-        "counterexample": model_to_dict(cex) if cex else None,
-    }
-    lines = ["valid" if cex is None else "not valid",
-             f"signature: agents {{{','.join(sig.agents)}}}, vars {{{','.join(sig.vars)}}}"]
+    signature, over = _signature(sig)
+    record = {"command": "valid", "valid": cex is None, "signature": signature,
+              "counterexample": cex}
+    lines = ["valid" if cex is None else "not valid", f"signature: {over}"]
     if cex is not None:
         lines.append(serialize_model(cex).rstrip("\n"))
     _emit(args, record, lines)
@@ -151,8 +147,7 @@ def _cmd_equiv(args) -> int:
     [left, right], sig = _parse_with_signature([args.left, args.right],
                                                args.agents, args.vars)
     answer = normalform.equivalent(left, right, sig)
-    record = {"command": "equiv", "equivalent": answer,
-              "signature": {"agents": list(sig.agents), "vars": list(sig.vars)}}
+    record = {"command": "equiv", "equivalent": answer, "signature": _signature(sig)[0]}
     _emit(args, record, ["equivalent" if answer else "not equivalent"])
     return _verdict_exit(answer)
 
@@ -181,7 +176,7 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_controls(args) -> int:
-    model = _read_model(args.model)
+    model = parse_model(_read(args.model))
     formula = parse_formula(args.formula, model.sig)
     if args.second_order:
         if not args.agent:
@@ -226,8 +221,7 @@ def _cmd_axioms(args) -> int:
                  "truncated": r.truncated, "counterexample": None}
         if r.counterexample is not None:
             instance, model = r.counterexample
-            entry["counterexample"] = {"instance": render(instance),
-                                       "model": model_to_dict(model)}
+            entry["counterexample"] = {"instance": render(instance), "model": model}
         schemes.append(entry)
     _emit(args, {"command": "axioms", "ok": report.ok, "schemes": schemes}, report.lines())
     return 0 if report.ok else 1
@@ -240,70 +234,60 @@ def build_parser() -> argparse.ArgumentParser:
                     "propositional control and its transfer.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags several subcommands share, each declared once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="machine-readable output")
+    names = argparse.ArgumentParser(add_help=False, parents=[output])
+    names.add_argument("--agents", help="comma/space separated agent names")
+    names.add_argument("--vars", help="comma/space separated variable names")
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("check", help="evaluate a formula on a model file")
+    p = sub.add_parser("check", parents=[output], help="evaluate a formula on a model file")
     p.add_argument("--model", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--formula-file")
-    add_json(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("run", help="print every model a program can reach")
+    p = sub.add_parser("run", parents=[output], help="print every model a program can reach")
     p.add_argument("--model", required=True)
     p.add_argument("--program", required=True)
-    add_json(p)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sat", help="search for a satisfying model")
+    p = sub.add_parser("sat", parents=[names], help="search for a satisfying model")
     p.add_argument("formula")
-    p.add_argument("--agents", help="comma/space separated agent names")
-    p.add_argument("--vars", help="comma/space separated variable names")
-    add_json(p)
     p.set_defaults(func=_cmd_sat)
 
-    p = sub.add_parser("valid", help="decide validity over a signature")
+    p = sub.add_parser("valid", parents=[names], help="decide validity over a signature")
     p.add_argument("formula")
-    p.add_argument("--agents")
-    p.add_argument("--vars")
-    add_json(p)
     p.set_defaults(func=_cmd_valid)
 
-    p = sub.add_parser("equiv", help="decide equivalence of two formulas")
+    p = sub.add_parser("equiv", parents=[names], help="decide equivalence of two formulas")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--agents")
-    p.add_argument("--vars")
-    add_json(p)
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("nf", help="print the per-allocation normal form table")
+    p = sub.add_parser("nf", parents=[output], help="print the per-allocation normal form table")
     p.add_argument("formula")
     p.add_argument("--agents", required=True)
     p.add_argument("--vars", required=True)
     p.add_argument("--emit-formula", action="store_true")
-    add_json(p)
     p.set_defaults(func=_cmd_nf)
 
-    p = sub.add_parser("controls", help="first- or second-order control checks")
+    p = sub.add_parser("controls", parents=[output], help="first- or second-order control checks")
     p.add_argument("--model", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--coalition", help="agents exercising first-order control")
     p.add_argument("--second-order", action="store_true")
     p.add_argument("--agent", help="agent for the second-order check")
-    add_json(p)
     p.set_defaults(func=_cmd_controls)
 
-    p = sub.add_parser("axioms", help="run the validity scheme suite")
+    p = sub.add_parser("axioms", parents=[output], help="run the validity scheme suite")
     p.add_argument("--agents", type=int, required=True, help="number of agents")
     p.add_argument("--vars", type=int, required=True, help="number of variables")
-    p.add_argument("--depth", type=int, default=2,
-                   help="modal depth of the instantiation formula pool")
-    p.add_argument("--limit", type=_positive_int, help="instance cap per scheme")
-    add_json(p)
+    p.add_argument("--depth", type=_at_least(2, "an integer of at least 2"), default=2,
+                   help="modal depth of the instantiation formula pool (at least 2)")
+    p.add_argument("--limit", type=_at_least(1, "a positive integer"),
+                   help="instance cap per scheme")
     p.set_defaults(func=_cmd_axioms)
 
     return parser

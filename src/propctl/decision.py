@@ -52,8 +52,7 @@ def valid(formula: Formula, sig: Signature | None = None) -> bool:
 
 
 def counterexample(formula: Formula, sig: Signature | None = None) -> DirectModel | None:
-    """A model falsifying the formula, or ``None`` when it is valid."""
-    if sig is None:
-        sig = default_signature(formula)
+    """A model falsifying the formula, or ``None`` when it is valid.  The
+    negation names what the formula does, so it has the same default signature."""
     return satisfiable(Not(formula), sig)
 

@@ -203,10 +203,6 @@ class Allocation(Value):
         i = self.sig.agent_index[agent]
         return tuple(p for p, o in zip(self.sig.vars, self.owners) if o == i)
 
-    def controlled_vars(self, coalition) -> frozenset[str]:
-        idxs = {self.sig.agent_index[a] for a in coalition}
-        return frozenset(p for p, o in zip(self.sig.vars, self.owners) if o in idxs)
-
     def controlled_mask(self, coalition) -> int:
         """Bitmask over variable positions owned by members of the coalition."""
         idxs = {self.sig.agent_index[a] for a in coalition}
@@ -299,13 +295,13 @@ def apply_cvaluation(model: DirectModel, cval: CValuation) -> DirectModel:
     The partial valuation's domain must be exactly the set of variables the
     coalition controls under the model's allocation.
     """
-    expected = model.alloc.controlled_vars(cval.coalition)
+    mask = model.alloc.controlled_mask(cval.coalition)
+    expected = {p for j, p in enumerate(model.sig.vars) if mask >> j & 1}
     if cval.domain != expected:
         raise SignatureError(
             "coalition valuation domain mismatch: "
             f"got {sorted(cval.domain)}, coalition controls {sorted(expected)}"
         )
-    mask = model.alloc.controlled_mask(cval.coalition)
     override = 0
     for p in cval.true_vars:
         override |= 1 << model.sig.var_index[p]

@@ -79,5 +79,6 @@ def nf_to_formula(nf: NormalForm) -> Formula:
 
 def equivalent(left: Formula, right: Formula, sig: Signature) -> bool:
     """Whether the two formulas agree on every model of the signature."""
-    return normal_form(left, sig) == normal_form(right, sig)
+    rows, other = semantics.truth_rows_each([left, right], sig)
+    return rows == other
 

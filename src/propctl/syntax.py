@@ -635,10 +635,8 @@ def parse_model(text: str) -> DirectModel:
     agent, and ``true: p``.  ``#`` starts a comment.  Every variable must be
     owned by exactly one agent; ``model_from_dict`` checks that.
     """
-    agents: list[str] | None = None
-    variables: list[str] | None = None
+    lists: dict[str, list[str]] = {}  # the agents, vars and true lines
     owns: dict[str, list[str]] = {}
-    true_vars: list[str] | None = None
 
     def split_names(body: str, line_no: int) -> list[str]:
         names = body.split()
@@ -655,18 +653,10 @@ def parse_model(text: str) -> DirectModel:
         if not sep:
             raise ParseError(f"expected 'keyword: ...', got {line!r}", line_no, 1)
         head = head.strip()
-        if head == "agents":
-            if agents is not None:
-                raise ParseError("duplicate agents line", line_no, 1)
-            agents = split_names(body, line_no)
-        elif head == "vars":
-            if variables is not None:
-                raise ParseError("duplicate vars line", line_no, 1)
-            variables = split_names(body, line_no)
-        elif head == "true":
-            if true_vars is not None:
-                raise ParseError("duplicate true line", line_no, 1)
-            true_vars = split_names(body, line_no)
+        if head in ("agents", "vars", "true"):
+            if head in lists:
+                raise ParseError(f"duplicate {head} line", line_no, 1)
+            lists[head] = split_names(body, line_no)
         elif head.startswith("owns"):
             agent = head[len("owns"):].strip()
             if not is_valid_name(agent):
@@ -677,14 +667,13 @@ def parse_model(text: str) -> DirectModel:
         else:
             raise ParseError(f"unknown line kind {head!r}", line_no, 1)
 
-    if agents is None or not agents:
-        raise ParseError("model needs a non-empty agents line", 1, 1)
-    if variables is None or not variables:
-        raise ParseError("model needs a non-empty vars line", 1, 1)
-    if true_vars is None:
+    for head in ("agents", "vars"):
+        if not lists.get(head):
+            raise ParseError(f"model needs a non-empty {head} line", 1, 1)
+    if "true" not in lists:
         raise ParseError("model needs a true line (possibly empty)", 1, 1)
 
-    data = {"agents": agents, "vars": variables, "owns": owns, "true": true_vars}
+    data = {**lists, "owns": owns}
     try:
         return model_from_dict(data)
     except SignatureError as err:

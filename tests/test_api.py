@@ -79,7 +79,7 @@ API = {
         PointedKripkeModel.world cross_check evaluate pointed_of
     """,
     "model": """
-        Allocation Allocation.controlled_mask Allocation.controlled_vars
+        Allocation Allocation.controlled_mask
         Allocation.from_index Allocation.from_map Allocation.index Allocation.move
         Allocation.owned_by Allocation.owner Allocation.owners Allocation.sig
         CValuation CValuation.coalition CValuation.domain CValuation.true_vars

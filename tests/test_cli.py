@@ -241,6 +241,38 @@ def test_axioms_limit_must_be_positive(capsys, limit):
     assert f"argument --limit: expected a positive integer, got '{limit}'" in captured.err
 
 
+@pytest.mark.parametrize("depth", ["1", "0", "-3", "x"])
+def test_axioms_depth_below_two_is_refused(capsys, depth):
+    # depths below 2 would build the depth-2 pool, so they are refused, not run as 2
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", "--agents", "1", "--vars", "1", f"--depth={depth}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --depth: expected an integer of at least 2, got '{depth}'" in captured.err
+
+
+def test_axioms_reports_a_counterexample(capsys, monkeypatch):
+    from propctl import axioms
+    unsound = axioms.Scheme("unsound", lambda ctx: iter([parse_formula("p1 -> box{1} p1")]))
+    monkeypatch.setattr(axioms, "SCHEMES", (unsound,))
+    argv = ["axioms", "--agents", "1", "--vars", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ("signature: agents 1; vars p1\n"
+                   "unsound: COUNTEREXAMPLE, 1 instance(s)\n"
+                   "  instance: ~p1 | ~dia{1}(~p1)\n"
+                   "  agents: 1\n  vars: p1\n  owns 1: p1\n  true: p1\n")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    [scheme] = json.loads(out)["schemes"]
+    assert scheme["ok"] is False
+    assert scheme["counterexample"] == {
+        "instance": "~p1 | ~dia{1}(~p1)",
+        "model": {"agents": ["1"], "vars": ["p1"], "owns": {"1": ["p1"]}, "true": ["p1"]},
+    }
+
+
 def test_axioms_deep_pool_is_cut_at_its_limit():
     # Layers past the pool's limit are never built, so the depth costs nothing.
     src = Path(__file__).resolve().parents[1] / "src"

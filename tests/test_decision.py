@@ -14,6 +14,11 @@ from propctl.axioms import (
     objective_pool,
     program_pool,
 )
+from propctl.control import (
+    characterize_second_order,
+    delegation_can_achieve,
+    grand_coalition_control,
+)
 from propctl.decision import (
     counterexample,
     default_signature,
@@ -21,8 +26,8 @@ from propctl.decision import (
     valid,
 )
 from propctl.model import Signature, enumerate_models
-from propctl.normalform import normal_form
-from propctl.semantics import evaluate
+from propctl.normalform import equivalent, normal_form
+from propctl.semantics import evaluate, program_image
 from propctl.syntax import (
     Atom,
     Choice,
@@ -46,6 +51,7 @@ from propctl.syntax import (
     implies,
     nabla,
     parse_formula,
+    parse_program,
 )
 
 from helpers import random_formula
@@ -130,10 +136,23 @@ def test_one_fit_check_per_query(monkeypatch):
     monkeypatch.setattr(syntax, "postorder", counting)
     sig = Signature(("1", "2"), ("p", "q"))
     f = parse_formula("dia{1}(p) -> <give(1,p,2)*>dia{2}(p | q)")
-    for query in (valid, satisfiable, counterexample, normal_form):
+    for query in (valid, satisfiable, counterexample, normal_form, grand_coalition_control):
         calls.clear()
         query(f, sig)
         assert len(calls) == 1, query.__name__
+    m = next(enumerate_models(sig))
+    program = parse_program("give(1,p,2)* ; ((p)? + give(1,q,2))", sig)
+    for name, query in [
+        ("equivalent", lambda: equivalent(f, Not(Not(f)), sig)),
+        ("characterize_second_order",
+         lambda: characterize_second_order(sig, m.alloc, m.val, "1", f)),
+        ("delegation_can_achieve", lambda: delegation_can_achieve(sig, m.alloc, m.val, "1", f)),
+        ("evaluate", lambda: evaluate(m, f)),
+        ("program_image", lambda: program_image(m, program)),
+    ]:
+        calls.clear()
+        query()
+        assert len(calls) == 1, name
 
 
 def test_validity_goldens():

@@ -443,3 +443,30 @@ def test_parse_model_empty_agents_is_error():
     bad = "agents:\nvars: p\nowns 1: p\ntrue:\n"
     with pytest.raises(ParseError):
         parse_model(bad)
+
+
+_MODEL_REFUSALS = [
+    # (text, message, line); every refusal is reported at column 1
+    ("agents: 1 2x-\nvars: p\n", "bad identifier '2x-'", 1),
+    ("agents: 1\nvars p\n", "expected 'keyword: ...', got 'vars p'", 2),
+    ("agents: 1\nagents: 2\n", "duplicate agents line", 2),
+    ("agents: 1\nagents: 2-\n", "duplicate agents line", 2),
+    ("vars: p\n# gap\nvars: q\n", "duplicate vars line", 3),
+    ("true: p\ntrue:\n", "duplicate true line", 2),
+    ("owns 1: p\nowns 1: q\n", "duplicate owns line for agent '1'", 2),
+    ("owns 1-2: p\n", "bad agent name '1-2' in owns line", 1),
+    ("agents: 1\nowners 1: p\n", "unknown line kind 'owners 1'", 2),
+    ("vars: p\nowns 1: p\ntrue:\n", "model needs a non-empty agents line", 1),
+    ("agents: 1\nvars:\nowns 1: p\ntrue:\n", "model needs a non-empty vars line", 1),
+    ("agents: 1\nowns 1: p\ntrue:\n", "model needs a non-empty vars line", 1),
+    ("agents:\nvars:\n", "model needs a non-empty agents line", 1),
+    ("agents: 1\nvars: p\nowns 1: p\n", "model needs a true line (possibly empty)", 1),
+    ("agents: 1\nvars: p\nowns 2: p\ntrue:\n", "owns entry for unknown agent '2'", 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line", _MODEL_REFUSALS)
+def test_parse_model_refusals(text, message, line):
+    with pytest.raises(ParseError) as exc:
+        parse_model(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, 1)
