@@ -1,11 +1,11 @@
 """Executable soundness suite: validity schemes checked by enumeration.
 
-Each scheme is a generator of closed formula instances over a signature,
-built from deterministic pools of formulas, objective formulas, and
-programs.  Every instance is checked for validity over all models of the
-signature; the first counterexample, if any, is reported together with the
-falsifying model.  Schemes whose instance space exceeds the per-scheme
-budget are truncated and flagged, never silently skipped.
+Each scheme is a row of one table: the pools its variables range over and
+a template that builds the closed instances of each combination.  Every
+instance is checked for validity over all models of the signature; the
+first counterexample, if any, is reported together with the falsifying
+model.  Schemes whose instance space exceeds the per-scheme budget are
+truncated and flagged, never silently skipped.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ class SuiteContext(Value):
     @property
     def vars(self) -> tuple[str, ...]:
         return self.sig.vars
-
-    def coalitions(self) -> list[frozenset[str]]:
-        out = []
-        for r in range(len(self.agents) + 1):
-            out.extend(frozenset(c) for c in itertools.combinations(self.agents, r))
-        return out
 
 
 def _dedup(items: Iterable, limit: int) -> tuple:
@@ -184,81 +178,6 @@ class Scheme(Value):
     __slots__ = ("name", "instances")
 
 
-def _literals(ctx: SuiteContext):
-    """Each literal, its complement, and its atom."""
-    for p in ctx.vars:
-        atom, other = Atom(p), Atom(p)
-        yield atom, Not(other), atom
-        yield Not(atom), other, atom
-
-
-def _prop_tautologies(ctx: SuiteContext) -> Iterator[Formula]:
-    for f, g in itertools.product(ctx.objectives, repeat=2):
-        yield Or(f, Not(f))
-        yield Not(conj(f, Not(f)))
-        yield implies(f, implies(g, f))
-        yield implies(conj(f, g), f)
-        yield implies(implies(implies(f, g), f), f)
-        yield iff(Not(Not(f)), f)
-
-
-def _k_program(ctx: SuiteContext) -> Iterator[Formula]:
-    for t, (f, g) in itertools.product(ctx.programs, itertools.product(ctx.formulas, repeat=2)):
-        yield implies(box_prog(t, implies(f, g)), implies(box_prog(t, f), box_prog(t, g)))
-
-
-def _union_program(ctx: SuiteContext) -> Iterator[Formula]:
-    for (t1, t2), f in itertools.product(itertools.product(ctx.programs, repeat=2), ctx.formulas):
-        yield iff(box_prog(Choice(t1, t2), f), conj(box_prog(t1, f), box_prog(t2, f)))
-
-
-def _comp_program(ctx: SuiteContext) -> Iterator[Formula]:
-    for (t1, t2), f in itertools.product(itertools.product(ctx.programs, repeat=2), ctx.formulas):
-        yield iff(box_prog(Seq(t1, t2), f), box_prog(t1, box_prog(t2, f)))
-
-
-def _test_program(ctx: SuiteContext) -> Iterator[Formula]:
-    for f, g in itertools.product(ctx.formulas, repeat=2):
-        yield iff(box_prog(Test(f), g), implies(f, g))
-
-
-def _mix_star(ctx: SuiteContext) -> Iterator[Formula]:
-    for t, f in itertools.product(ctx.programs, ctx.formulas):
-        yield iff(conj(f, box_prog(t, box_prog(Star(t), f))), box_prog(Star(t), f))
-
-
-def _ind_star(ctx: SuiteContext) -> Iterator[Formula]:
-    for t, f in itertools.product(ctx.programs, ctx.formulas):
-        yield implies(conj(f, box_prog(Star(t), implies(f, box_prog(t, f)))),
-                      box_prog(Star(t), f))
-
-
-def _k_agent(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, (f, g) in itertools.product(ctx.agents, itertools.product(ctx.formulas, repeat=2)):
-        yield implies(box({i}, implies(f, g)), implies(box({i}, f), box({i}, g)))
-
-
-def _t_agent(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, f in itertools.product(ctx.agents, ctx.formulas):
-        yield implies(box({i}, f), f)
-
-
-def _b_agent(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, f in itertools.product(ctx.agents, ctx.formulas):
-        yield implies(f, box({i}, Dia(frozenset({i}), f)))
-
-
-def _empty_coalition(ctx: SuiteContext) -> Iterator[Formula]:
-    for f in ctx.formulas:
-        yield iff(box(frozenset(), f), f)
-
-
-def _atom_control(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, p in itertools.product(ctx.agents, ctx.vars):
-        yield iff(controls({i}, Atom(p)),
-                  conj(Dia(frozenset({i}), Atom(p)), Dia(frozenset({i}), Not(Atom(p)))))
-
-
 def allocation_axiom(sig: Signature) -> Formula:
     """Every variable is controlled by exactly one agent."""
     return conj_all(
@@ -267,154 +186,135 @@ def allocation_axiom(sig: Signature) -> Formula:
     )
 
 
-def _allocation(ctx: SuiteContext) -> Iterator[Formula]:
-    yield allocation_axiom(ctx.sig)
+def _literals(ctx: SuiteContext):
+    """Each literal, its complement, and its atom."""
+    for p in ctx.vars:
+        atom, other = Atom(p), Atom(p)
+        yield atom, Not(other), atom
+        yield Not(atom), other, atom
 
 
-def _effect(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, p in itertools.product(ctx.agents, ctx.vars):
-        for lit, flipped in [(Atom(p), Not(Atom(p))), (Not(Atom(p)), Atom(p))]:
-            for psi in ctx.objectives:
-                props, _ = signature_of(psi)
-                if p in props:
-                    continue
-                yield implies(conj_all([psi, lit, controls({i}, Atom(p))]),
-                              Dia(frozenset({i}), conj(psi, flipped)))
+#: What a scheme's variables range over, by name.
+_POOLS = {
+    "sig": lambda ctx: (ctx.sig,),
+    "agents": lambda ctx: ctx.agents,
+    "vars": lambda ctx: ctx.vars,
+    "formulas": lambda ctx: ctx.formulas,
+    "objectives": lambda ctx: ctx.objectives,
+    "programs": lambda ctx: ctx.programs,
+    "moves": lambda ctx: [Give(i, p, j) for i, p, j in
+                          itertools.product(ctx.agents, ctx.vars, ctx.agents)],
+    "coalitions": lambda ctx: [frozenset(c) for r in range(len(ctx.agents) + 1)
+                               for c in itertools.combinations(ctx.agents, r)],
+    "literals": _literals,
+}
 
 
-def _comp_union(ctx: SuiteContext) -> Iterator[Formula]:
-    coalitions = ctx.coalitions()
-    for (c1, c2), f in itertools.product(itertools.product(coalitions, repeat=2), ctx.formulas):
-        yield iff(box(c1, box(c2, f)), box(c1 | c2, f))
+def _scheme(name: str, pools: str, template) -> Scheme:
+    """The scheme whose instances are ``template``'s, over every combination
+    of the named pools in ``itertools.product`` order; a combination the
+    template gives no instance for is skipped."""
+    def instances(ctx: SuiteContext) -> Iterator[Formula]:
+        for combo in itertools.product(*(_POOLS[pool](ctx) for pool in pools.split())):
+            yield from template(*combo)
+    return Scheme(name, instances)
 
 
-def _value_permanence(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, p, j, q in itertools.product(ctx.agents, ctx.vars, ctx.agents, ctx.vars):
-        move = Give(i, p, j)
-        yield implies(DiaProg(move, TOP), iff(box_prog(move, Atom(q)), Atom(q)))
+# Templates that unpack a literal triple, or skip combinations by a longer test.
+
+def _effect(i, literal, psi):
+    lit, flipped, atom = literal
+    if atom.name in signature_of(psi)[0]:
+        return []
+    return [implies(conj_all([psi, lit, controls({i}, Atom(atom.name))]),
+                    Dia(frozenset({i}), conj(psi, flipped)))]
 
 
-def _control_persistence_valuation(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, p, j in itertools.product(ctx.agents, ctx.vars, ctx.agents):
-        yield implies(controls({i}, Atom(p)), box({j}, controls({i}, Atom(p))))
+def _flip_own_literal(i, literal):
+    lit, flipped, atom = literal
+    return [implies(conj(lit, controls({i}, atom)), Dia(frozenset({i}), flipped))]
 
 
-def _control_persistence_transfer(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, p in itertools.product(ctx.agents, ctx.vars):
-        for j, q, h in itertools.product(ctx.agents, ctx.vars, ctx.agents):
-            if i == j and p == q:
-                continue
-            yield implies(controls({i}, Atom(p)),
-                          box_prog(Give(j, q, h), controls({i}, Atom(p))))
+def _outsider_fixed_literal(i, j, literal):
+    lit, flipped, _ = literal
+    return [] if i == j else [implies(lit, implies(Dia(frozenset({i}), flipped), box({j}, lit)))]
 
 
-def _transfer_precondition(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, p, j in itertools.product(ctx.agents, ctx.vars, ctx.agents):
-        yield implies(DiaProg(Give(i, p, j), TOP), controls({i}, Atom(p)))
+def _non_effect(i, literal):
+    lit, _, atom = literal
+    return [implies(conj(Dia(frozenset({i}), lit), Not(controls({i}, atom))), box({i}, lit))]
 
 
-def _transfer_grants_control(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, p, j in itertools.product(ctx.agents, ctx.vars, ctx.agents):
-        yield implies(controls({i}, Atom(p)),
-                      DiaProg(Give(i, p, j), controls({j}, Atom(p))))
-
-
-def _transfer_functional(ctx: SuiteContext) -> Iterator[Formula]:
-    for (i, p, j), f in itertools.product(
-            itertools.product(ctx.agents, ctx.vars, ctx.agents), ctx.formulas):
-        move = Give(i, p, j)
-        yield implies(controls({i}, Atom(p)),
-                      iff(DiaProg(move, f), box_prog(move, f)))
-
-
-def _flip_own_literal(ctx: SuiteContext) -> Iterator[Formula]:
-    for i in ctx.agents:
-        for lit, flipped, p in _literals(ctx):
-            yield implies(conj(lit, controls({i}, p)), Dia(frozenset({i}), flipped))
-
-
-def _outsider_fixed_literal(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, j in itertools.product(ctx.agents, repeat=2):
-        if i == j:
-            continue
-        for lit, flipped, _ in _literals(ctx):
-            yield implies(lit, implies(Dia(frozenset({i}), flipped), box({j}, lit)))
-
-
-def _non_effect(ctx: SuiteContext) -> Iterator[Formula]:
-    for i in ctx.agents:
-        for lit, _, p in _literals(ctx):
-            yield implies(conj(Dia(frozenset({i}), lit), Not(controls({i}, p))),
-                          box({i}, lit))
-
-
-def _non_control_persistence(ctx: SuiteContext) -> Iterator[Formula]:
-    for i, p, j in itertools.product(ctx.agents, ctx.vars, ctx.agents):
-        yield iff(Not(controls({i}, Atom(p))), box({j}, Not(controls({i}, Atom(p)))))
-
-
-def _objective_permanence_atomic(ctx: SuiteContext) -> Iterator[Formula]:
-    for (i, p, j), f in itertools.product(
-            itertools.product(ctx.agents, ctx.vars, ctx.agents), ctx.objectives):
-        move = Give(i, p, j)
-        yield implies(DiaProg(move, TOP), iff(f, box_prog(move, f)))
-
-
-def _objective_permanence(ctx: SuiteContext) -> Iterator[Formula]:
-    for t, f in itertools.product(ctx.programs, ctx.objectives):
-        yield implies(DiaProg(t, TOP), iff(f, box_prog(t, f)))
-
-
-def _round_trip_transfer(ctx: SuiteContext) -> Iterator[Formula]:
-    for (i, p, j), f in itertools.product(
-            itertools.product(ctx.agents, ctx.vars, ctx.agents), ctx.formulas):
-        there_and_back = Seq(Give(i, p, j), Give(j, p, i))
-        yield implies(controls({i}, Atom(p)), iff(f, box_prog(there_and_back, f)))
-
-
-def _commute_transfers(ctx: SuiteContext) -> Iterator[Formula]:
-    quads = itertools.product(ctx.agents, ctx.vars, ctx.agents,
-                              ctx.agents, ctx.vars, ctx.agents)
-    for (i, p, j, k, q, h), f in itertools.product(quads, ctx.formulas):
-        if not ((j != k and h != i) or p != q):
-            continue
-        first, second = Give(i, p, j), Give(k, q, h)
-        yield iff(box_prog(first, box_prog(second, f)),
-                  box_prog(second, box_prog(first, f)))
+def _commute_transfers(first, second, f):
+    # Transfers of one variable need not commute when one hands it to the other's giver.
+    if first.var == second.var and (first.receiver == second.giver
+                                    or first.giver == second.receiver):
+        return []
+    return [iff(box_prog(first, box_prog(second, f)), box_prog(second, box_prog(first, f)))]
 
 
 #: Validity schemes: the base system first, derived consequences after.
-SCHEMES: tuple[Scheme, ...] = (
-    Scheme("prop-tautology", _prop_tautologies),
-    Scheme("k-program", _k_program),
-    Scheme("union-program", _union_program),
-    Scheme("comp-program", _comp_program),
-    Scheme("test-program", _test_program),
-    Scheme("mix-star", _mix_star),
-    Scheme("ind-star", _ind_star),
-    Scheme("k-agent", _k_agent),
-    Scheme("t-agent", _t_agent),
-    Scheme("b-agent", _b_agent),
-    Scheme("empty-coalition", _empty_coalition),
-    Scheme("atom-control", _atom_control),
-    Scheme("allocation-partition", _allocation),
-    Scheme("effect", _effect),
-    Scheme("coalition-composition", _comp_union),
-    Scheme("value-permanence", _value_permanence),
-    Scheme("control-persistence-valuation", _control_persistence_valuation),
-    Scheme("control-persistence-transfer", _control_persistence_transfer),
-    Scheme("transfer-precondition", _transfer_precondition),
-    Scheme("transfer-grants-control", _transfer_grants_control),
-    Scheme("transfer-functional", _transfer_functional),
-    Scheme("flip-own-literal", _flip_own_literal),
-    Scheme("outsider-fixed-literal", _outsider_fixed_literal),
-    Scheme("non-effect", _non_effect),
-    Scheme("non-control-persistence", _non_control_persistence),
-    Scheme("objective-permanence-atomic", _objective_permanence_atomic),
-    Scheme("objective-permanence", _objective_permanence),
-    Scheme("round-trip-transfer", _round_trip_transfer),
-    Scheme("commute-transfers", _commute_transfers),
-)
+#: Each row: name, the pools its variables range over, and its template.
+SCHEMES: tuple[Scheme, ...] = tuple(itertools.starmap(_scheme, [
+    ("prop-tautology", "objectives objectives", lambda f, g: [
+        Or(f, Not(f)),
+        Not(conj(f, Not(f))),
+        implies(f, implies(g, f)),
+        implies(conj(f, g), f),
+        implies(implies(implies(f, g), f), f),
+        iff(Not(Not(f)), f),
+    ]),
+    ("k-program", "programs formulas formulas", lambda t, f, g: [
+        implies(box_prog(t, implies(f, g)), implies(box_prog(t, f), box_prog(t, g)))]),
+    ("union-program", "programs programs formulas", lambda t1, t2, f: [
+        iff(box_prog(Choice(t1, t2), f), conj(box_prog(t1, f), box_prog(t2, f)))]),
+    ("comp-program", "programs programs formulas", lambda t1, t2, f: [
+        iff(box_prog(Seq(t1, t2), f), box_prog(t1, box_prog(t2, f)))]),
+    ("test-program", "formulas formulas", lambda f, g: [
+        iff(box_prog(Test(f), g), implies(f, g))]),
+    ("mix-star", "programs formulas", lambda t, f: [
+        iff(conj(f, box_prog(t, box_prog(Star(t), f))), box_prog(Star(t), f))]),
+    ("ind-star", "programs formulas", lambda t, f: [
+        implies(conj(f, box_prog(Star(t), implies(f, box_prog(t, f)))), box_prog(Star(t), f))]),
+    ("k-agent", "agents formulas formulas", lambda i, f, g: [
+        implies(box({i}, implies(f, g)), implies(box({i}, f), box({i}, g)))]),
+    ("t-agent", "agents formulas", lambda i, f: [implies(box({i}, f), f)]),
+    ("b-agent", "agents formulas", lambda i, f: [implies(f, box({i}, Dia(frozenset({i}), f)))]),
+    ("empty-coalition", "formulas", lambda f: [iff(box(frozenset(), f), f)]),
+    ("atom-control", "agents vars", lambda i, p: [
+        iff(controls({i}, Atom(p)),
+            conj(Dia(frozenset({i}), Atom(p)), Dia(frozenset({i}), Not(Atom(p)))))]),
+    ("allocation-partition", "sig", lambda sig: [allocation_axiom(sig)]),
+    ("effect", "agents literals objectives", _effect),
+    ("coalition-composition", "coalitions coalitions formulas", lambda c1, c2, f: [
+        iff(box(c1, box(c2, f)), box(c1 | c2, f))]),
+    ("value-permanence", "moves vars", lambda move, q: [
+        implies(DiaProg(move, TOP), iff(box_prog(move, Atom(q)), Atom(q)))]),
+    ("control-persistence-valuation", "agents vars agents", lambda i, p, j: [
+        implies(controls({i}, Atom(p)), box({j}, controls({i}, Atom(p))))]),
+    ("control-persistence-transfer", "agents vars agents vars agents", lambda i, p, j, q, h:
+        [] if i == j and p == q else
+        [implies(controls({i}, Atom(p)), box_prog(Give(j, q, h), controls({i}, Atom(p))))]),
+    ("transfer-precondition", "agents vars agents", lambda i, p, j: [
+        implies(DiaProg(Give(i, p, j), TOP), controls({i}, Atom(p)))]),
+    ("transfer-grants-control", "agents vars agents", lambda i, p, j: [
+        implies(controls({i}, Atom(p)), DiaProg(Give(i, p, j), controls({j}, Atom(p))))]),
+    ("transfer-functional", "moves formulas", lambda move, f: [
+        implies(controls({move.giver}, Atom(move.var)),
+                iff(DiaProg(move, f), box_prog(move, f)))]),
+    ("flip-own-literal", "agents literals", _flip_own_literal),
+    ("outsider-fixed-literal", "agents agents literals", _outsider_fixed_literal),
+    ("non-effect", "agents literals", _non_effect),
+    ("non-control-persistence", "agents vars agents", lambda i, p, j: [
+        iff(Not(controls({i}, Atom(p))), box({j}, Not(controls({i}, Atom(p)))))]),
+    ("objective-permanence-atomic", "moves objectives", lambda move, f: [
+        implies(DiaProg(move, TOP), iff(f, box_prog(move, f)))]),
+    ("objective-permanence", "programs objectives", lambda t, f: [
+        implies(DiaProg(t, TOP), iff(f, box_prog(t, f)))]),
+    ("round-trip-transfer", "agents vars agents formulas", lambda i, p, j, f: [
+        implies(controls({i}, Atom(p)), iff(f, box_prog(Seq(Give(i, p, j), Give(j, p, i)), f)))]),
+    ("commute-transfers", "moves moves formulas", _commute_transfers),
+]))
 
 
 class SchemeResult(Value):

@@ -3,10 +3,11 @@
 Every subcommand is a thin shell over one library call.  Exit codes:
 0 for a positive answer (true / satisfiable / valid / equivalent),
 1 for the negative answer, 2 for syntax errors in any input (formula,
-program or model file), 3 for signature violations (identifiers outside
-the model or signature in scope, including an unknown agent inside
-``CONTROLS`` or ``giveall``), 4 for a file that cannot be read, and 5 for
-any other failure, reported in one line on stderr without a traceback.
+program or model file) and for a missing or bad flag, 3 for signature
+violations (identifiers outside the model or signature in scope, including
+an unknown agent inside ``CONTROLS`` or ``giveall``), 4 for a file that
+cannot be read, and 5 for any other failure, reported in one line on
+stderr without a traceback.
 ``--json`` switches each command to a machine-readable record.
 """
 
@@ -176,11 +177,14 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_controls(args) -> int:
+    if args.second_order and not args.agent:
+        args.usage_error("--second-order needs --agent")
+    if not args.second_order and args.coalition is None:
+        args.usage_error("first-order check needs --coalition "
+                         "(an empty list means the empty coalition)")
     model = parse_model(_read(args.model))
     formula = parse_formula(args.formula, model.sig)
     if args.second_order:
-        if not args.agent:
-            raise SignatureError("--second-order needs --agent")
         direct = semantics.evaluate(
             model, second_order_controls(args.agent, formula, model.sig))
         table = control.characterize_second_order(
@@ -195,9 +199,6 @@ def _cmd_controls(args) -> int:
         ]
         _emit(args, record, lines)
         return _verdict_exit(direct)
-    if args.coalition is None:
-        raise SignatureError("first-order check needs --coalition "
-                             "(an empty list means the empty coalition)")
     coalition = _split_names(args.coalition)
     answer = semantics.evaluate(model, controls(coalition, formula))
     record = {"command": "controls", "second_order": False,
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coalition", help="agents exercising first-order control")
     p.add_argument("--second-order", action="store_true")
     p.add_argument("--agent", help="agent for the second-order check")
-    p.set_defaults(func=_cmd_controls)
+    p.set_defaults(func=_cmd_controls, usage_error=p.error)
 
     p = sub.add_parser("axioms", parents=[output], help="run the validity scheme suite")
     p.add_argument("--agents", type=int, required=True, help="number of agents")

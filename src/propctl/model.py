@@ -35,6 +35,14 @@ def is_valid_name(name: str) -> bool:
     return bool(_NAME_RE.fullmatch(name))
 
 
+def _position(index: Mapping[str, int], name: str, kind: str) -> int:
+    """``index[name]``, or a ``SignatureError`` naming the unknown ``kind``."""
+    try:
+        return index[name]
+    except KeyError:
+        raise SignatureError(f"unknown {kind} {name!r}") from None
+
+
 _set = object.__setattr__  # sets a slot past the frozen ``Value.__setattr__``
 
 
@@ -182,30 +190,19 @@ class Allocation(Value):
         extra = [p for p in owner_by_var if p not in sig.var_index]
         if extra:
             raise SignatureError(f"unknown variable(s): {', '.join(sorted(extra))}")
-        owners = []
-        for p in sig.vars:
-            a = owner_by_var[p]
-            if a not in sig.agent_index:
-                raise SignatureError(f"unknown agent {a!r}")
-            owners.append(sig.agent_index[a])
-        return cls(sig, tuple(owners))
+        return cls(sig, tuple(_position(sig.agent_index, owner_by_var[p], "agent")
+                              for p in sig.vars))
 
     def owner(self, var: str) -> str:
-        try:
-            j = self.sig.var_index[var]
-        except KeyError:
-            raise SignatureError(f"unknown variable {var!r}") from None
-        return self.sig.agents[self.owners[j]]
+        return self.sig.agents[self.owners[_position(self.sig.var_index, var, "variable")]]
 
     def owned_by(self, agent: str) -> tuple[str, ...]:
-        if agent not in self.sig.agent_index:
-            raise SignatureError(f"unknown agent {agent!r}")
-        i = self.sig.agent_index[agent]
+        i = _position(self.sig.agent_index, agent, "agent")
         return tuple(p for p, o in zip(self.sig.vars, self.owners) if o == i)
 
     def controlled_mask(self, coalition) -> int:
         """Bitmask over variable positions owned by members of the coalition."""
-        idxs = {self.sig.agent_index[a] for a in coalition}
+        idxs = {_position(self.sig.agent_index, a, "agent") for a in coalition}
         mask = 0
         for j, o in enumerate(self.owners):
             if o in idxs:
@@ -213,10 +210,9 @@ class Allocation(Value):
         return mask
 
     def move(self, var: str, to_agent: str) -> Allocation:
-        j = self.sig.var_index[var]
-        i = self.sig.agent_index[to_agent]
+        j = _position(self.sig.var_index, var, "variable")
         owners = list(self.owners)
-        owners[j] = i
+        owners[j] = _position(self.sig.agent_index, to_agent, "agent")
         return Allocation(self.sig, tuple(owners))
 
     def index(self) -> int:
@@ -228,6 +224,8 @@ class Allocation(Value):
     def from_index(cls, sig: Signature, idx: int) -> Allocation:
         """The allocation at a canonical position; the inverse of ``index``."""
         n = len(sig.agents)
+        if not 0 <= idx < n ** len(sig.vars):
+            raise SignatureError("allocation index out of range for the signature")
         return cls(sig, tuple(idx // n**j % n for j in range(len(sig.vars))))
 
 
@@ -245,17 +243,11 @@ class Valuation(Value):
     def from_true_vars(cls, sig: Signature, true_vars) -> Valuation:
         bits = 0
         for p in true_vars:
-            if p not in sig.var_index:
-                raise SignatureError(f"unknown variable {p!r}")
-            bits |= 1 << sig.var_index[p]
+            bits |= 1 << _position(sig.var_index, p, "variable")
         return cls(sig, bits)
 
     def value(self, var: str) -> bool:
-        try:
-            j = self.sig.var_index[var]
-        except KeyError:
-            raise SignatureError(f"unknown variable {var!r}") from None
-        return bool(self.bits >> j & 1)
+        return bool(self.bits >> _position(self.sig.var_index, var, "variable") & 1)
 
     def true_vars(self) -> tuple[str, ...]:
         return tuple(p for j, p in enumerate(self.sig.vars) if self.bits >> j & 1)

@@ -58,8 +58,8 @@ API = {
         Budget.per_scheme Budget.program_limit SCHEMES Scheme Scheme.instances
         Scheme.name SchemeResult SchemeResult.checked SchemeResult.counterexample
         SchemeResult.line SchemeResult.name SchemeResult.ok SchemeResult.truncated
-        SuiteContext SuiteContext.agents SuiteContext.coalitions
-        SuiteContext.formulas SuiteContext.objectives SuiteContext.programs
+        SuiteContext SuiteContext.agents SuiteContext.formulas
+        SuiteContext.objectives SuiteContext.programs
         SuiteContext.sig SuiteContext.vars SuiteReport SuiteReport.lines
         SuiteReport.ok SuiteReport.results SuiteReport.sig allocation_axiom
         axiom_suite check_scheme formula_pool make_context objective_pool

@@ -222,6 +222,20 @@ def test_controls_second_order_reports_agreement(model_file, capsys):
     assert record["agreement"] is True
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--second-order"], "--second-order needs --agent"),
+    (["--agent", "1"], "first-order check needs --coalition"),
+])
+def test_controls_missing_flag_is_a_usage_error(model_file, capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["controls", "--model", model_file, "--formula", "p", *flags])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: propctl controls")
+    assert f"propctl controls: error: {message}" in captured.err
+
+
 def test_axioms_command(capsys):
     code, out, _ = run_cli(capsys, "axioms", "--agents", "1", "--vars", "1",
                            "--limit", "10", "--json")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -248,6 +249,61 @@ def test_truncation_is_reported_not_silent():
     big = [r for r in report.results if r.truncated]
     assert big, "tiny budgets must flag truncated schemes"
     assert all(r.checked == 2 for r in big)
+
+
+#: Per scheme, in ``SCHEMES`` order: its instance count in the uncapped 2x2
+#: suite, and a sha256 prefix over its rendered instances, in order, at 1x1,
+#: 2x2 and 3x2, formula depths 2 and 3.
+CATALOGUE = [
+    ("prop-tautology", 1536, "1bdb1be1d86ee73e"),
+    ("k-program", 6336, "adc8d82828cb0329"),
+    ("union-program", 2904, "5dadd606a86a5b2a"),
+    ("comp-program", 2904, "9005c48419b5bdcc"),
+    ("test-program", 576, "00e46cd14c470a94"),
+    ("mix-star", 264, "e5b2598aa9688798"),
+    ("ind-star", 264, "dfd3d770390fe023"),
+    ("k-agent", 1152, "e9ed0c8a2a9b779e"),
+    ("t-agent", 48, "6b995066e4d80472"),
+    ("b-agent", 48, "2db1123c2d264888"),
+    ("empty-coalition", 24, "d85bb27e70c0bb4c"),
+    ("atom-control", 4, "cc242651a5021a7f"),
+    ("allocation-partition", 1, "e87769ce4b913b58"),
+    ("effect", 64, "2076ba32c94f398f"),
+    ("coalition-composition", 384, "bde3554e1429139f"),
+    ("value-permanence", 16, "b17610e81d85e519"),
+    ("control-persistence-valuation", 8, "93d77f3e1b846299"),
+    ("control-persistence-transfer", 24, "714841d58d7e0417"),
+    ("transfer-precondition", 8, "2f2292fd97d2cbd9"),
+    ("transfer-grants-control", 8, "f9654da205cfa0bc"),
+    ("transfer-functional", 192, "2115c13696179840"),
+    ("flip-own-literal", 8, "6a1f2e2dcd1ba63c"),
+    ("outsider-fixed-literal", 8, "cc76ee387ab8b4c9"),
+    ("non-effect", 8, "b6d0320a3d603c02"),
+    ("non-control-persistence", 8, "9ee1a6fab0a11841"),
+    ("objective-permanence-atomic", 128, "f0cd4053273f9914"),
+    ("objective-permanence", 176, "cdc9a806e6583acc"),
+    ("round-trip-transfer", 192, "7649facc280ca6fe"),
+    ("commute-transfers", 960, "0b10f75d5a6a5d2c"),
+]
+
+
+def test_catalogue_instances_are_pinned():
+    digests = {name: hashlib.sha256() for name, _, _ in CATALOGUE}
+    counts = {}
+    for n, k in [(1, 1), (2, 2), (3, 2)]:
+        sig = Signature(tuple(str(i) for i in range(1, n + 1)),
+                        tuple(f"p{i}" for i in range(1, k + 1)))
+        for depth in (2, 3):
+            ctx = make_context(sig, Budget(formula_depth=depth))
+            for scheme in SCHEMES:
+                rendered = [syntax.render(f) for f in scheme.instances(ctx)]
+                digests[scheme.name].update("".join(r + "\n" for r in rendered).encode() + b"\n")
+                if (n, k, depth) == (2, 2, 2):
+                    counts[scheme.name] = len(rendered)
+    assert [s.name for s in SCHEMES] == [name for name, _, _ in CATALOGUE]
+    assert sum(counts.values()) == 18253
+    assert [(name, counts[name], digests[name].hexdigest()[:16]) for name, _, _ in CATALOGUE] \
+        == CATALOGUE
 
 
 def _eager_dedup(items, limit):

@@ -107,6 +107,17 @@ def test_atomic_transfer_unknown_ids_raise():
         atomic_transfer(m, "1", "z", "2")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda m: apply_cvaluation(m, CValuation({"zz"}, (), ())), "unknown agent 'zz'"),
+    (lambda m: m.alloc.controlled_mask({"zz"}), "unknown agent 'zz'"),
+    (lambda m: m.alloc.move("zz", "1"), "unknown variable 'zz'"),
+    (lambda m: m.alloc.move("p", "zz"), "unknown agent 'zz'"),
+], ids=["apply_cvaluation", "controlled_mask", "move-var", "move-agent"])
+def test_allocation_refuses_unknown_ids(call, message):
+    with pytest.raises(SignatureError, match=message):
+        call(sample_model())
+
+
 def test_transfer_then_inverse_restores_model():
     sig = Signature(("1", "2", "3"), ("p", "q"))
     for m in enumerate_models(sig):
@@ -148,6 +159,13 @@ def test_allocation_index_round_trip():
     assert all(Allocation.from_index(sig, a.index()) == a for a in allocs)
     # variable 0 is the least significant digit
     assert Allocation.from_index(sig, 5).owners == (2, 1)
+
+
+@pytest.mark.parametrize("idx", [4, 99, -1])
+def test_allocation_index_out_of_range_is_refused(idx):
+    sig = Signature(("1", "2"), ("p", "q"))
+    with pytest.raises(SignatureError, match="allocation index out of range"):
+        Allocation.from_index(sig, idx)
 
 
 def test_serialize_parse_round_trip():
