@@ -11,7 +11,7 @@ formula and its complement.
 
 from __future__ import annotations
 
-from . import normalform, semantics
+from . import semantics
 from .model import Allocation, Signature, SignatureError, Valuation
 from .syntax import Dia, Formula, Not
 
@@ -45,13 +45,18 @@ def _reach(sig: Signature, alloc: Allocation, val: Valuation, agent: str,
     For each formula, some allocation reachable by giving away must have
     the current valuation in its row of ``dia{agent} formula``: the agent
     can then steer to a satisfying valuation with the variables it still
-    holds.  The rows come from one walk over all the formulas.
+    holds.  The rows come from one walk over all the formulas, over their
+    sub-signature.  The agent is named there, so an allocation is reachable
+    by giving away exactly when its projection is reachable from the
+    current allocation's.
     """
     geq(alloc, Allocation.from_index(sig, 0), agent)  # refuses an unknown agent, a foreign allocation
     coalition = frozenset({agent})
-    return all(any(row >> val.bits & 1 and geq(alloc, Allocation.from_index(sig, idx), agent)
+    reduction, rows_each = semantics._rows([Dia(coalition, f) for f in formulas], sig)
+    here, bits = reduction.project(alloc, val.bits)
+    return all(any(row >> bits & 1 and geq(here, Allocation.from_index(reduction.sub, idx), agent)
                    for idx, row in enumerate(rows))
-               for rows in semantics.truth_rows_each([Dia(coalition, f) for f in formulas], sig))
+               for rows in rows_each)
 
 
 def delegation_can_achieve(sig: Signature, alloc: Allocation, val: Valuation,
@@ -71,6 +76,6 @@ def characterize_second_order(sig: Signature, alloc: Allocation, val: Valuation,
 def grand_coalition_control(formula: Formula, sig: Signature) -> bool:
     """Whether the whole agent set controls the formula in every model:
     each allocation's row must be neither empty nor full."""
-    nf = normalform.normal_form(formula, sig)
-    full = nf.full_row
-    return all(0 < row < full for row in nf.rows)
+    reduction, (rows,) = semantics._rows([formula], sig)
+    full = (1 << (1 << len(reduction.sub.vars))) - 1  # lifting keeps a row empty, or full
+    return all(0 < row < full for row in rows)

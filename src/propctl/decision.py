@@ -5,12 +5,18 @@ agents it mentions plus one extra agent, so deciding it means enumerating
 the finitely many models of that signature.  Validity is unsatisfiability
 of the negation and is always relative to a signature; results name the
 signature they were decided over.
+
+Over a larger signature the same argument cuts the search: the tables
+range over the formula's own sub-signature (see ``semantics``), and the
+first witness of the larger signature, in its enumeration order, is read
+off the first satisfiable allocation of the sub-signature, with the
+unnamed variables false and owned by agent index 0.
 """
 
 from __future__ import annotations
 
-from .model import Allocation, DirectModel, Signature, Valuation
-from .semantics import truth_rows
+from . import semantics
+from .model import DirectModel, Signature, Valuation
 from .syntax import Formula, Not, signature_of
 
 
@@ -37,11 +43,12 @@ def satisfiable(formula: Formula, sig: Signature | None = None) -> DirectModel |
     """
     if sig is None:
         sig = default_signature(formula)
-    for idx, row in enumerate(truth_rows(formula, sig)):
+    reduction, (rows,) = semantics._rows([formula], sig)
+    for idx, row in enumerate(rows):
         if row:
             # lowest set bit: the first satisfying valuation in this row
-            return DirectModel(sig, Allocation.from_index(sig, idx),
-                               Valuation(sig, (row & -row).bit_length() - 1))
+            return DirectModel(sig, reduction.allocation(idx),
+                               Valuation(sig, reduction.spot[(row & -row).bit_length() - 1]))
     return None
 
 

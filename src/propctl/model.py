@@ -224,7 +224,7 @@ class Allocation(Value):
     def from_index(cls, sig: Signature, idx: int) -> Allocation:
         """The allocation at a canonical position; the inverse of ``index``."""
         n = len(sig.agents)
-        if not 0 <= idx < n ** len(sig.vars):
+        if not (isinstance(idx, int) and 0 <= idx < n ** len(sig.vars)):
             raise SignatureError("allocation index out of range for the signature")
         return cls(sig, tuple(idx // n**j % n for j in range(len(sig.vars))))
 

@@ -12,16 +12,22 @@ to, a test is a conjunction, sequencing composes, choice is a disjunction,
 and iteration is the least fixpoint of ``X = T | pre(body, X)``.  Programs
 never change the valuation, so a pre-image moves whole rows, and a model's
 program image follows the same handovers forwards.
+
+Without a model, the tables range over the formulas' own sub-signature:
+the variables they name, the agents they name, and one agent standing for
+all the others.  Truth depends on nothing else, so an answer over the
+sub-signature is exact, and a row is lifted to the signature asked for
+only where a caller reads rows over it.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 
 from .model import Allocation, DirectModel, Signature, SignatureError
 from .syntax import (CHILDREN, Atom, Choice, Dia, Formula, Give, Not, Or, Program, Seq, Star,
-                     Test, Top, disj_all, ensure_fits, operands)
+                     Test, Top, _fit, disj_all, operands)
 
 
 def _step(sig: Signature, give: Give):
@@ -55,20 +61,99 @@ def _spent(nodes: list, roots: list) -> dict[int, list[int]]:
     return spent
 
 
+class _Reduction:
+    """A signature ``sig`` cut to the part some formulas can tell apart.
+
+    ``sub`` keeps the variables the formulas name, in signature order (the
+    first variable when they name none), the agents they name, and the
+    lowest-indexed agent they do not name, if any, as the class standing for
+    all of those.  An allocation and a valuation of ``sig`` project to ``sub``
+    by dropping the unnamed variables and giving the class whatever an
+    unnamed agent owns.  The formulas hold at a pair exactly when they hold
+    at its projection: no atom reads an unnamed variable, no coalition or
+    handover names an unnamed agent, and a handover commutes with the
+    projection.  When nothing is cut, ``sub`` is ``sig`` itself.
+    """
+
+    def __init__(self, sig: Signature, props: frozenset[str], agents: frozenset[str]):
+        unnamed = [a for a in sig.agents if a not in agents]
+        kept = tuple(p for p in sig.vars if p in props) or sig.vars[:1]
+        cut = len(kept) < len(sig.vars) or len(unnamed) > 1
+        self.sig, self.sub = sig, Signature((*agents, *unnamed[:1]), kept) if cut else sig
+        self.agent = [sig.agent_index[a] for a in self.sub.agents]  # sub agent -> sig agent
+        self.var = [sig.var_index[p] for p in self.sub.vars]  # sub variable -> sig variable
+        place = {i: k for k, i in enumerate(self.agent)}
+        rest = place.get(sig.agent_index[unnamed[0]]) if unnamed else None  # the class
+        self.owner = [place.get(i, rest) for i in range(len(sig.agents))]  # sig agent -> sub agent
+        self.spot = [0]  # per valuation of ``sub``, the first of ``sig`` projecting to it:
+        for i in self.var:  # the unnamed variables false
+            self.spot += [w | 1 << i for w in self.spot]
+        self.spread = 1  # bit ``w`` for each valuation ``w`` of the unnamed variables alone
+        for i in set(range(len(sig.vars))) - set(self.var):
+            self.spread |= self.spread << (1 << i)
+
+    def allocation(self, s: int) -> Allocation:
+        """The first allocation of ``sig``, in canonical order, projecting to
+        allocation ``s`` of ``sub``: the unnamed variables go to agent index
+        0.  The map is increasing, so the first allocation of ``sub`` with a
+        property gives the first allocation of ``sig`` with it."""
+        m, n = len(self.sub.agents), len(self.sig.agents)
+        return Allocation.from_index(self.sig, sum(self.agent[s // m**j % m] * n**i
+                                                   for j, i in enumerate(self.var)))
+
+    def project(self, alloc: Allocation, bits: int) -> tuple[Allocation, int]:
+        """An allocation and a valuation of ``sig`` projected to ``sub``."""
+        return (Allocation(self.sub, tuple(self.owner[alloc.owners[i]] for i in self.var)),
+                sum((bits >> i & 1) << j for j, i in enumerate(self.var)))
+
+    @cached_property
+    def index(self) -> list[int]:
+        """Per allocation of ``sig``, in canonical order, the index of its projection."""
+        m, index = len(self.sub.agents), [0]
+        place = {i: j for j, i in enumerate(self.var)}
+        for i in range(len(self.sig.vars)):  # variable i's digit, above those of 0 .. i-1
+            j = place.get(i)
+            digits = [0] * len(self.owner) if j is None else [o * m**j for o in self.owner]
+            index = [x + d for d in digits for x in index]
+        return index
+
+    def lift(self, rows: list[int]) -> list[int]:
+        """Rows over ``sub`` read over ``sig``: per allocation, the
+        valuations whose projections the row of its projection holds."""
+        if self.sub is self.sig:
+            return rows
+        lifted: dict[int, int] = {}
+        for row in rows:
+            if row not in lifted:  # each set bit's valuation times every unnamed one
+                lifted[row] = sum(1 << self.spot[u] for u in range(len(self.spot))
+                                  if row >> u & 1) * self.spread
+        return [lifted[rows[s]] for s in self.index]
+
+
+@lru_cache(maxsize=256)
+def _reduction(sig: Signature, props: frozenset[str], agents: frozenset[str]) -> _Reduction:
+    return _Reduction(sig, props, agents)
+
+
 class _Tables:
     """The fit check of the roots (formulas, or one program) over the
     signature, then, from one walk over them, the table of each formula node.
 
-    Without a model, the domain is every allocation, and bit ``b`` of a row
-    stands for ``Valuation(sig, b)``.  At a model, the domain is the
-    allocations the handovers reach from the model's, the model's first,
-    and a row has a bit per valuation of the free variables only: those an
-    atom names and a diamond's coalition owns in some domain allocation.
-    Every other atom keeps the model's value; ``point`` is the model's bit.
+    Without a model, the tables are over the roots' ``reduction`` of the
+    signature: the domain is every allocation of ``reduction.sub``, and bit
+    ``b`` of a row stands for ``Valuation(reduction.sub, b)``.  At a model,
+    the domain is the allocations the handovers reach from the model's, the
+    model's first, and a row has a bit per valuation of the free variables
+    only: those an atom names and a diamond's coalition owns in some domain
+    allocation.  Every other atom keeps the model's value; ``point`` is the
+    model's bit.
     """
 
     def __init__(self, sig: Signature, roots: list, model: DirectModel | None = None):
-        nodes = ensure_fits(disj_all(roots), sig)
+        nodes, props, agents = _fit(disj_all(roots), sig)
+        if model is None:
+            self.reduction = _reduction(sig, props, agents)
+            sig = self.reduction.sub
         self.sig, n = sig, len(sig.agents)
         steps = {(g.giver, g.var, g.receiver): _step(sig, g) for g in nodes if type(g) is Give}
         if model is None:
@@ -233,5 +318,12 @@ def truth_rows(formula: Formula, sig: Signature) -> list[int]:
 
 def truth_rows_each(formulas: list[Formula], sig: Signature) -> list[list[int]]:
     """``truth_rows`` of each formula, from one walk over all of them."""
+    reduction, rows = _rows(formulas, sig)
+    return [reduction.lift(r) for r in rows]
+
+
+def _rows(formulas: list[Formula], sig: Signature) -> tuple[_Reduction, list[list[int]]]:
+    """The formulas' reduction of the signature, and their rows over its
+    ``sub``, from one walk over all of them."""
     tables = _Tables(sig, formulas)
-    return [tables.table[id(f)] for f in formulas]
+    return tables.reduction, [tables.table[id(f)] for f in formulas]

@@ -290,13 +290,18 @@ def ensure_fits(node, sig: Signature) -> list:
     """Raise ``SignatureError`` if the node names anything outside the
     signature; otherwise return ``postorder(node)``, so that a caller
     walking the node next needs no second walk."""
+    return _fit(node, sig)[0]
+
+
+def _fit(node, sig: Signature) -> tuple[list, frozenset[str], frozenset[str]]:
+    """``ensure_fits``, returning with the walk the variables and agents it names."""
     nodes = postorder(node)
     props, agents = _names(nodes)
     parts = [f"{kind}(s) " + ", ".join(sorted(bad)) for kind, bad in
              (("variable", props - set(sig.vars)), ("agent", agents - set(sig.agents))) if bad]
     if parts:
         raise SignatureError("outside the signature: " + "; ".join(parts))
-    return nodes
+    return nodes, props, agents
 
 
 # ---------------------------------------------------------------------------

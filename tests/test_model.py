@@ -161,7 +161,7 @@ def test_allocation_index_round_trip():
     assert Allocation.from_index(sig, 5).owners == (2, 1)
 
 
-@pytest.mark.parametrize("idx", [4, 99, -1])
+@pytest.mark.parametrize("idx", [4, 99, -1, 1.5, 1.0, "1", None])
 def test_allocation_index_out_of_range_is_refused(idx):
     sig = Signature(("1", "2"), ("p", "q"))
     with pytest.raises(SignatureError, match="allocation index out of range"):
