@@ -51,10 +51,12 @@ def _reach(sig: Signature, alloc: Allocation, val: Valuation, agent: str,
     current allocation's.
     """
     geq(alloc, Allocation.from_index(sig, 0), agent)  # refuses an unknown agent, a foreign allocation
+    if val.sig != sig:
+        raise SignatureError("valuation built over a different signature")
     coalition = frozenset({agent})
-    reduction, rows_each = semantics._rows([Dia(coalition, f) for f in formulas], sig)
-    here, bits = reduction.project(alloc, val.bits)
-    return all(any(row >> bits & 1 and geq(here, Allocation.from_index(reduction.sub, idx), agent)
+    tables, rows_each = semantics._rows([Dia(coalition, f) for f in formulas], sig)
+    here, bits = tables.reduction.project(alloc, val.bits)
+    return all(any(row >> bits & 1 and geq(here, Allocation.from_index(here.sig, idx), agent)
                    for idx, row in enumerate(rows))
                for rows in rows_each)
 
@@ -76,6 +78,5 @@ def characterize_second_order(sig: Signature, alloc: Allocation, val: Valuation,
 def grand_coalition_control(formula: Formula, sig: Signature) -> bool:
     """Whether the whole agent set controls the formula in every model:
     each allocation's row must be neither empty nor full."""
-    reduction, (rows,) = semantics._rows([formula], sig)
-    full = (1 << (1 << len(reduction.sub.vars))) - 1  # lifting keeps a row empty, or full
-    return all(0 < row < full for row in rows)
+    tables, (rows,) = semantics._rows([formula], sig)
+    return all(0 < row < tables.full for row in rows)  # lifting keeps a row empty, or full

@@ -43,12 +43,13 @@ def satisfiable(formula: Formula, sig: Signature | None = None) -> DirectModel |
     """
     if sig is None:
         sig = default_signature(formula)
-    reduction, (rows,) = semantics._rows([formula], sig)
+    tables, (rows,) = semantics._rows([formula], sig)
+    cut = tables.reduction
     for idx, row in enumerate(rows):
         if row:
             # lowest set bit: the first satisfying valuation in this row
-            return DirectModel(sig, reduction.allocation(idx),
-                               Valuation(sig, reduction.spot[(row & -row).bit_length() - 1]))
+            return DirectModel(sig, cut.allocation(idx),
+                               Valuation(sig, cut.bits((row & -row).bit_length() - 1)))
     return None
 
 

@@ -22,7 +22,7 @@ only where a caller reads rows over it.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 from .model import Allocation, DirectModel, Signature, SignatureError
@@ -82,15 +82,12 @@ class _Reduction:
         self.sig, self.sub = sig, Signature((*agents, *unnamed[:1]), kept) if cut else sig
         self.agent = [sig.agent_index[a] for a in self.sub.agents]  # sub agent -> sig agent
         self.var = [sig.var_index[p] for p in self.sub.vars]  # sub variable -> sig variable
+        self.rest = self.sub.agent_index[unnamed[0]] if unnamed else None  # the class
+
+    def owner(self) -> list[int]:
+        """Per agent of ``sig``, the agent of ``sub`` standing for it."""
         place = {i: k for k, i in enumerate(self.agent)}
-        rest = place.get(sig.agent_index[unnamed[0]]) if unnamed else None  # the class
-        self.owner = [place.get(i, rest) for i in range(len(sig.agents))]  # sig agent -> sub agent
-        self.spot = [0]  # per valuation of ``sub``, the first of ``sig`` projecting to it:
-        for i in self.var:  # the unnamed variables false
-            self.spot += [w | 1 << i for w in self.spot]
-        self.spread = 1  # bit ``w`` for each valuation ``w`` of the unnamed variables alone
-        for i in set(range(len(sig.vars))) - set(self.var):
-            self.spread |= self.spread << (1 << i)
+        return [place.get(i, self.rest) for i in range(len(self.sig.agents))]
 
     def allocation(self, s: int) -> Allocation:
         """The first allocation of ``sig``, in canonical order, projecting to
@@ -101,38 +98,43 @@ class _Reduction:
         return Allocation.from_index(self.sig, sum(self.agent[s // m**j % m] * n**i
                                                    for j, i in enumerate(self.var)))
 
+    def bits(self, u: int) -> int:
+        """The first valuation of ``sig`` projecting to valuation ``u`` of
+        ``sub``: the unnamed variables false."""
+        return sum(1 << i for j, i in enumerate(self.var) if u >> j & 1)
+
     def project(self, alloc: Allocation, bits: int) -> tuple[Allocation, int]:
         """An allocation and a valuation of ``sig`` projected to ``sub``."""
-        return (Allocation(self.sub, tuple(self.owner[alloc.owners[i]] for i in self.var)),
+        owner = self.owner()
+        return (Allocation(self.sub, tuple(owner[alloc.owners[i]] for i in self.var)),
                 sum((bits >> i & 1) << j for j, i in enumerate(self.var)))
-
-    @cached_property
-    def index(self) -> list[int]:
-        """Per allocation of ``sig``, in canonical order, the index of its projection."""
-        m, index = len(self.sub.agents), [0]
-        place = {i: j for j, i in enumerate(self.var)}
-        for i in range(len(self.sig.vars)):  # variable i's digit, above those of 0 .. i-1
-            j = place.get(i)
-            digits = [0] * len(self.owner) if j is None else [o * m**j for o in self.owner]
-            index = [x + d for d in digits for x in index]
-        return index
 
     def lift(self, rows: list[int]) -> list[int]:
         """Rows over ``sub`` read over ``sig``: per allocation, the
         valuations whose projections the row of its projection holds."""
         if self.sub is self.sig:
             return rows
+        # per allocation of ``sig``, in canonical order, the index of its projection
+        m, owner, index = len(self.sub.agents), self.owner(), [0]
+        place = {i: j for j, i in enumerate(self.var)}
+        for i in range(len(self.sig.vars)):  # variable i's digit, above those of 0 .. i-1
+            j = place.get(i)
+            digits = [0] * len(owner) if j is None else [o * m**j for o in owner]
+            index = [x + d for d in digits for x in index]
+        spread = 1  # bit ``w`` for each valuation ``w`` of the unnamed variables alone
+        for i in set(range(len(self.sig.vars))) - set(self.var):
+            spread |= spread << (1 << i)
         lifted: dict[int, int] = {}
         for row in rows:
             if row not in lifted:  # each set bit's valuation times every unnamed one
-                lifted[row] = sum(1 << self.spot[u] for u in range(len(self.spot))
-                                  if row >> u & 1) * self.spread
-        return [lifted[rows[s]] for s in self.index]
+                lifted[row] = sum(1 << self.bits(u) for u in range(row.bit_length())
+                                  if row >> u & 1) * spread
+        return [lifted[rows[s]] for s in index]
 
 
-@lru_cache(maxsize=256)
-def _reduction(sig: Signature, props: frozenset[str], agents: frozenset[str]) -> _Reduction:
-    return _Reduction(sig, props, agents)
+# `propctl axioms` asks about one signature thousands of times over a few name
+# sets, and remaking a cut reduction each time costs it about a tenth of its rate.
+_reduction = lru_cache(maxsize=256)(_Reduction)
 
 
 class _Tables:
@@ -318,12 +320,12 @@ def truth_rows(formula: Formula, sig: Signature) -> list[int]:
 
 def truth_rows_each(formulas: list[Formula], sig: Signature) -> list[list[int]]:
     """``truth_rows`` of each formula, from one walk over all of them."""
-    reduction, rows = _rows(formulas, sig)
-    return [reduction.lift(r) for r in rows]
+    tables, rows = _rows(formulas, sig)
+    return [tables.reduction.lift(r) for r in rows]
 
 
-def _rows(formulas: list[Formula], sig: Signature) -> tuple[_Reduction, list[list[int]]]:
-    """The formulas' reduction of the signature, and their rows over its
-    ``sub``, from one walk over all of them."""
+def _rows(formulas: list[Formula], sig: Signature) -> tuple[_Tables, list[list[int]]]:
+    """The formulas' tables over their ``reduction`` of the signature, and
+    each formula's rows over its ``sub``, from one walk over all of them."""
     tables = _Tables(sig, formulas)
-    return tables.reduction, [tables.table[id(f)] for f in formulas]
+    return tables, [tables.table[id(f)] for f in formulas]

@@ -161,6 +161,16 @@ def test_geq_rejects_foreign_signatures():
         geq(sample_model().alloc, next(iter(enumerate_allocations(other))), "1")
 
 
+def test_second_order_rejects_a_foreign_valuation():
+    # the valuation's low bits must not be read as the signature's variables
+    sig = SIG22
+    wide = Signature(sig.agents, ("p", "q", "r", "s"))
+    alloc = next(iter(enumerate_allocations(sig)))
+    for decide in (characterize_second_order, delegation_can_achieve):
+        with pytest.raises(SignatureError):
+            decide(sig, alloc, Valuation(wide, 12), "1", Atom("p"))
+
+
 def test_geq_matches_give_star_reachability():
     # oracle: allocations reachable through the redistribution program
     sig = SIG22
