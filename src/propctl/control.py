@@ -45,20 +45,23 @@ def _reach(sig: Signature, alloc: Allocation, val: Valuation, agent: str,
     For each formula, some allocation reachable by giving away must have
     the current valuation in its row of ``dia{agent} formula``: the agent
     can then steer to a satisfying valuation with the variables it still
-    holds.  The rows come from one walk over all the formulas, over their
-    sub-signature.  The agent is named there, so an allocation is reachable
-    by giving away exactly when its projection is reachable from the
-    current allocation's.
+    holds.  The tables come from one walk over all the formulas, over their
+    sub-signature, where the agent is named.  The allocations reachable by
+    giving away are those where every variable the agent does not own keeps
+    its owner, so one packed query per formula answers: its table, cut to
+    those rows and to the current valuation's column, is not empty.
     """
     geq(alloc, Allocation.from_index(sig, 0), agent)  # refuses an unknown agent, a foreign allocation
     if val.sig != sig:
         raise SignatureError("valuation built over a different signature")
-    coalition = frozenset({agent})
-    tables, rows_each = semantics._rows([Dia(coalition, f) for f in formulas], sig)
+    tables, packed = semantics._tables([Dia(frozenset({agent}), f) for f in formulas], sig)
     here, bits = tables.reduction.project(alloc, val.bits)
-    return all(any(row >> bits & 1 and geq(here, Allocation.from_index(here.sig, idx), agent)
-                   for idx, row in enumerate(rows))
-               for rows in rows_each)
+    me = here.sig.agent_index[agent]
+    reachable = tables.tiled(1 << bits)  # the valuation's column, cut to the reachable rows
+    for j, owner in enumerate(here.owners):
+        if owner != me:
+            reachable &= tables.own(frozenset({here.sig.agents[owner]}), j)
+    return all(table & reachable for table in packed)
 
 
 def delegation_can_achieve(sig: Signature, alloc: Allocation, val: Valuation,
@@ -78,5 +81,5 @@ def characterize_second_order(sig: Signature, alloc: Allocation, val: Valuation,
 def grand_coalition_control(formula: Formula, sig: Signature) -> bool:
     """Whether the whole agent set controls the formula in every model:
     each allocation's row must be neither empty nor full."""
-    tables, (rows,) = semantics._rows([formula], sig)
-    return all(0 < row < tables.full for row in rows)  # lifting keeps a row empty, or full
+    tables, (table,) = semantics._tables([formula], sig)
+    return tables.mixed(table)  # lifting keeps a row empty, or full

@@ -43,14 +43,12 @@ def satisfiable(formula: Formula, sig: Signature | None = None) -> DirectModel |
     """
     if sig is None:
         sig = default_signature(formula)
-    tables, (rows,) = semantics._rows([formula], sig)
+    tables, (table,) = semantics._tables([formula], sig)
+    if not table:
+        return None
+    position, bits = tables.first(table)  # the first satisfying valuation of the first row
     cut = tables.reduction
-    for idx, row in enumerate(rows):
-        if row:
-            # lowest set bit: the first satisfying valuation in this row
-            return DirectModel(sig, cut.allocation(idx),
-                               Valuation(sig, cut.bits((row & -row).bit_length() - 1)))
-    return None
+    return DirectModel(sig, cut.allocation(position), Valuation(sig, cut.bits(bits)))
 
 
 def valid(formula: Formula, sig: Signature | None = None) -> bool:

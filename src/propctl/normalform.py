@@ -8,14 +8,16 @@ model, so equality of tables is exactly semantic equivalence over the
 signature.
 
 Rows are bitmasks over the canonical valuation order, indexed by the
-canonical allocation order, which makes complement, union, and equality
-single word operations per row.
+canonical allocation order.  The evaluator packs every row of a table into
+one integer, so complement, union and equality are whole-table operations;
+rows are unpacked only when a normal form is built.
 """
 
 from __future__ import annotations
 
 from . import semantics
-from .model import Allocation, Signature, Valuation, Value, enumerate_allocations
+from .model import (Allocation, Signature, SignatureError, Valuation, Value,
+                    enumerate_allocations)
 from .syntax import (
     Atom,
     Formula,
@@ -38,6 +40,8 @@ class NormalForm(Value):
         return (1 << (1 << len(self.sig.vars))) - 1
 
     def satisfying(self, alloc: Allocation) -> tuple[Valuation, ...]:
+        if alloc.sig != self.sig:
+            raise SignatureError("allocation built over a different signature")
         row = self.rows[alloc.index()]
         return tuple(
             Valuation(self.sig, bits)
@@ -79,6 +83,6 @@ def nf_to_formula(nf: NormalForm) -> Formula:
 
 def equivalent(left: Formula, right: Formula, sig: Signature) -> bool:
     """Whether the two formulas agree on every model of the signature."""
-    rows, other = semantics._rows([left, right], sig)[1]  # lifting keeps rows apart
-    return rows == other
+    table, other = semantics._tables([left, right], sig)[1]  # lifting keeps rows apart
+    return table == other
 

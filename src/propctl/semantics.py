@@ -1,23 +1,32 @@
 """Direct semantics: one table evaluator behind every query.
 
-A formula's table gives, per allocation of a domain, the bitmask of the
-valuations satisfying it.  Tables are built bottom up, as in the global
-labelling of Clarke, Emerson & Sistla: one walk lists each node object
-once, children first, and each formula node's table is computed once from
-its children's.  An atom is a fixed mask; negation and disjunction are word
-operations; a coalition diamond projects each row over the bits the
-coalition owns in that allocation.  Programs act by pre-image, as in PDL:
-``pre(give(i,p,j), T)`` reads the row of the allocation the handover moves
-to, a test is a conjunction, sequencing composes, choice is a disjunction,
-and iteration is the least fixpoint of ``X = T | pre(body, X)``.  Programs
-never change the valuation, so a pre-image moves whole rows, and a model's
-program image follows the same handovers forwards.
+A formula's table gives, per position of a domain of allocations, the
+bitmask of the valuations satisfying it (its row), and packs the rows into
+one integer: the row of position ``a`` sits at bits ``[a*W, (a+1)*W)``.
+Tables are built bottom up, as in the global labelling of Clarke, Emerson &
+Sistla: one walk lists each node object once, children first, and each
+formula node's table is computed once from its children's.  Every operator
+is a few whole-table operations.  An atom is its row mask tiled over the
+table; negation and disjunction are one operation each; a coalition diamond
+flips, one variable at a time, the rows where the coalition owns it.
+Programs act by pre-image, as in PDL: ``pre(give(i,p,j), T)`` shifts the
+table by the distance between the positions the handover links and keeps
+the rows where ``i`` owns ``p``; a test is a conjunction, sequencing
+composes, choice is a disjunction, and iteration is the least fixpoint of
+``X = T | pre(body, X)``.  Programs never change the valuation, so a
+pre-image moves whole rows, and a model's program image follows the same
+handovers forwards, position by position.
 
-Without a model, the tables range over the formulas' own sub-signature:
-the variables they name, the agents they name, and one agent standing for
-all the others.  Truth depends on nothing else, so an answer over the
-sub-signature is exact, and a row is lifted to the signature asked for
-only where a caller reads rows over it.
+The domain is a product over the variables of the agents that can own
+each, and a position is a mixed-radix number: variable ``j``'s digit, the
+rank of its owner among those agents, weighs the product of the earlier
+variables' counts.  A handover then moves a position by a fixed distance.
+Without a model, the tables range over the formulas' own sub-signature (the
+variables they name, the agents they name, and one agent standing for all
+the others), every agent can own every variable, and a position is the
+canonical index of an allocation.  Truth depends on nothing else, so an
+answer over the sub-signature is exact, and a row is lifted to the
+signature asked for only where a caller reads rows over it.
 """
 
 from __future__ import annotations
@@ -30,19 +39,22 @@ from .syntax import (CHILDREN, Atom, Choice, Dia, Formula, Give, Not, Or, Progra
                      Test, Top, _fit, disj_all, operands)
 
 
-def _step(sig: Signature, give: Give):
-    """The handover as a map on allocation indices: the index it moves to,
-    or ``None`` where the giver does not own the variable."""
-    n = len(sig.agents)
-    weight = n ** sig.var_index[give.var]
-    giver = sig.agent_index[give.giver]
-    shift = (sig.agent_index[give.receiver] - giver) * weight
-    return lambda a: a + shift if a // weight % n == giver else None
+def _tile(pattern: int, width: int, count: int) -> int:
+    """``count`` copies of a ``width``-bit pattern side by side, made by
+    doubling: no table-sized product, and work linear in the result."""
+    out, copies = pattern, 1
+    for bit in bin(count)[3:]:
+        out |= out << copies * width
+        copies <<= 1
+        if bit == "1":
+            out |= pattern << copies * width
+            copies += 1
+    return out
 
 
-def _union(x: list[int], y: list[int]) -> list[int]:
-    """Row by row, the disjunction of two tables."""
-    return list(map(or_, x, y))
+# A table of more bits than this is large: its spent inputs are dropped,
+# and a diamond reads its body's support (see ``_Tables``).
+_DROP_BITS = 1 << 15
 
 
 def _spent(nodes: list, roots: list) -> dict[int, list[int]]:
@@ -59,6 +71,18 @@ def _spent(nodes: list, roots: list) -> dict[int, list[int]]:
     for key, pos in last.items():
         spent.setdefault(pos, []).append(key)
     return spent
+
+
+def _support(nodes: list, sig: Signature) -> dict[int, int]:
+    """Per node, the variables whose values its truth can read (bit ``j``
+    for ``sig.vars[j]``): flipping any other variable leaves its table as
+    it is, since programs never change the valuation."""
+    support: dict[int, int] = {}
+    for node in nodes:
+        kind = type(node)
+        support[id(node)] = (1 << sig.var_index[node.name] if kind is Atom else
+                             reduce(or_, [support[id(c)] for c in CHILDREN[kind](node)], 0))
+    return support
 
 
 class _Reduction:
@@ -142,13 +166,15 @@ class _Tables:
     signature, then, from one walk over them, the table of each formula node.
 
     Without a model, the tables are over the roots' ``reduction`` of the
-    signature: the domain is every allocation of ``reduction.sub``, and bit
+    signature: every agent of ``reduction.sub`` can own every variable, so
+    position ``a`` is ``Allocation.from_index(reduction.sub, a)``, and bit
     ``b`` of a row stands for ``Valuation(reduction.sub, b)``.  At a model,
-    the domain is the allocations the handovers reach from the model's, the
-    model's first, and a row has a bit per valuation of the free variables
-    only: those an atom names and a diamond's coalition owns in some domain
-    allocation.  Every other atom keeps the model's value; ``point`` is the
-    model's bit.
+    a variable's possible owners are the model's owner, at rank 0, and every
+    agent the roots' handovers can pass it on to, so position 0 is the
+    model's allocation.  Positions no run reaches are tabled too, but never
+    read from position 0.  A row then has a bit per valuation of the free
+    variables only: those an atom names and a diamond's coalition can own.
+    Every other atom keeps the model's value; ``point`` is the model's bit.
     """
 
     def __init__(self, sig: Signature, roots: list, model: DirectModel | None = None):
@@ -156,38 +182,43 @@ class _Tables:
         if model is None:
             self.reduction = _reduction(sig, props, agents)
             sig = self.reduction.sub
-        self.sig, n = sig, len(sig.agents)
-        steps = {(g.giver, g.var, g.receiver): _step(sig, g) for g in nodes if type(g) is Give}
-        if model is None:
-            self.domain = position = range(n ** len(sig.vars))  # its own position map
+            owners = [range(len(sig.agents))] * len(sig.vars)
             free, self.val = range(len(sig.vars)), 0
         else:
-            self.domain, self.val = [model.alloc.index()], model.val.bits
-            position = {self.domain[0]: 0}
-            for a in self.domain:  # the list grows while it is read
-                for b in (step(a) for step in steps.values()):
-                    if b is not None and b not in position:
-                        position[b] = len(self.domain)
-                        self.domain.append(b)
-            owners = {frozenset(sig.agent_index[i] for i in f.coalition) for f in nodes
-                      if type(f) is Dia}
+            gives = {(g.giver, sig.var_index[g.var], g.receiver) for g in nodes if type(g) is Give}
+            reach = [{sig.agents[o]} for o in model.alloc.owners]
+            while grown := {(j, k) for i, j, k in gives if i in reach[j] and k not in reach[j]}:
+                for j, k in grown:
+                    reach[j].add(k)
+            owners = [[o, *sorted(sig.agent_index[a] for a in r if a != sig.agents[o])]
+                      for o, r in zip(model.alloc.owners, reach)]
+            coalitions = {f.coalition for f in nodes if type(f) is Dia}
             free = [j for j in sorted({sig.var_index[f.name] for f in nodes if type(f) is Atom})
-                    if any(a // n**j % n in c for c in owners for a in self.domain)]
-        # per handover and domain position, the position it moves to
-        self.moves = {key: [None if (b := step(a)) is None else position[b] for a in self.domain]
-                      for key, step in steps.items()}
+                    if any(c.intersection(reach[j]) for c in coalitions)]
+            self.val = model.val.bits
+        # per variable, its possible owners (agent indices), each owner's
+        # rank among them by name, and the weight of its digit in a position
+        self.sig, self.owners, self.stride, size = sig, owners, [], 1
+        for agents_of in owners:
+            self.stride.append(size)
+            size *= len(agents_of)
+        self.rank = [{sig.agents[a]: r for r, a in enumerate(agents_of)} for agents_of in owners]
         masks, width = [], 1  # masks[i]: the row bits where free variable i is true
         for _ in free:  # double the row: copy each mask up, add the new variable's
             masks = [m | m << width for m in masks] + [((1 << width) - 1) << width]
             width <<= 1
-        self.full, self.free = (1 << width) - 1, dict(zip(free, masks))
+        self.domain, self.width, self.full = range(size), width, (1 << size * width) - 1
+        # per free variable: its distance within a row, and the row bits where it is true
+        self.free = {j: (1 << i, m) for i, (j, m) in enumerate(zip(free, masks))}
         self.point = sum(1 << i for i, j in enumerate(free) if self.val >> j & 1)
-        self._flips: dict[frozenset, list] = {}
-        # A table takes about 64 + width bits per domain allocation.  Large
-        # ones are dropped once read for the last time; counting the readers
-        # of small ones would cost more than they hold.
-        spent = _spent(nodes, roots) if len(self.domain) * (64 + width) > 1 << 16 else {}
-        self.table: dict[int, list[int]] = {}
+        self._masks: dict = {}  # atom tables by variable, ownership masks by (agents, variable)
+        # Large tables are dropped once read for the last time, and a diamond
+        # flips only the variables its body reads; on small ones, finding
+        # either would cost more than it saves.
+        self.large = size * width > _DROP_BITS
+        spent = _spent(nodes, roots) if self.large else {}
+        self.support = _support(nodes, sig) if self.large else {}
+        self.table: dict[int, int] = {}
         for pos, node in enumerate(nodes):
             if isinstance(node, Formula):
                 self.table[id(node)] = self.build(node)
@@ -195,58 +226,83 @@ class _Tables:
                     for key in spent.get(pos, ()):
                         self.table.pop(key, None)
 
-    def build(self, f: Formula) -> list[int]:
+    def build(self, f: Formula) -> int:
         kind, table = type(f), self.table
         if kind is Not:
-            return [self.full ^ row for row in table[id(f.body)]]
+            return self.full ^ table[id(f.body)]
         if kind is Or:
-            return _union(table[id(f.left)], table[id(f.right)])
+            return table[id(f.left)] | table[id(f.right)]
         if kind is Atom:
             j = self.sig.var_index[f.name]
-            mask = self.free.get(j, self.full if self.val >> j & 1 else 0)
-            return [mask] * len(self.domain)
+            return self.atom(j) if j in self.free else self.full if self.val >> j & 1 else 0
         if kind is Top:
-            return [self.full] * len(self.domain)
-        if kind is Dia:
-            out = []
-            for row, flips in zip(table[id(f.body)], self.flips(f.coalition)):
-                for true, false, shift in flips:
-                    row |= (row & true) >> shift | (row & false) << shift
-                out.append(row)
-            return out
+            return self.full
+        if kind is Dia:  # per free variable the body reads, flip the rows the coalition owns it in
+            t, reads = table[id(f.body)], self.support.get(id(f.body), -1)  # -1: every variable
+            for j, (shift, _) in self.free.items():
+                if reads >> j & 1 and (own := self.own(f.coalition, j)):
+                    true = self.atom(j)
+                    flipped = (t & true) >> shift | (t << shift) & true
+                    t |= flipped if own is self.full else flipped & own
+            return t
         return self.pre(f.program, table[id(f.body)])  # DiaProg
 
-    def flips(self, coalition: frozenset) -> list[list[tuple[int, int, int]]]:
-        """Per domain allocation and free variable the coalition owns there:
-        the row bits with the variable true, those with it false, and the
-        distance between the two."""
-        if coalition not in self._flips:
-            n, members = len(self.sig.agents), {self.sig.agent_index[a] for a in coalition}
-            self._flips[coalition] = [[(true, self.full ^ true, 1 << i)
-                                       for i, (j, true) in enumerate(self.free.items())
-                                       if a // n**j % n in members]
-                                      for a in self.domain]
-        return self._flips[coalition]
+    def tiled(self, row: int) -> int:
+        """The table holding ``row`` at every position."""
+        return _tile(row, self.width, len(self.domain))
 
-    def pre(self, p: Program, table: list[int]) -> list[int]:
-        """Per domain allocation, the join of the table's rows at the
-        allocations one run of the program reaches, each masked by the
-        tables of the tests on the way."""
+    def atom(self, j: int) -> int:
+        """The table of free variable ``j``: kept for the query if small,
+        remade where read if large, since it is read only a few times."""
+        if (mask := self._masks.get(j)) is None:
+            mask = self.tiled(self.free[j][1])
+            if not self.large:
+                self._masks[j] = mask
+        return mask
+
+    def own(self, agents: frozenset[str], j: int) -> int:
+        """The table whose rows are full where one of the agents owns
+        variable ``j``, and empty elsewhere: made once per query, since a
+        star reads it every round."""
+        if (agents, j) not in self._masks:
+            rank = self.rank[j]
+            ranks = [r for a, r in rank.items() if a in agents]
+            if len(ranks) == len(rank):
+                mask = self.full
+            elif not ranks:
+                mask = 0
+            else:  # one run of rows per digit value, the run of each owner's rank full
+                run = self.stride[j] * self.width
+                cycle = reduce(or_, (((1 << run) - 1) << r * run for r in ranks))
+                cycles = len(self.domain) // (len(rank) * self.stride[j])
+                mask = _tile(cycle, len(rank) * run, cycles)
+            self._masks[agents, j] = mask
+        return self._masks[agents, j]
+
+    def pre(self, p: Program, table: int) -> int:
+        """Per domain position, the join of the table's rows at the
+        positions one run of the program reaches, each masked by the tables
+        of the tests on the way."""
         kind = type(p)
         if kind is Give:
-            return [0 if t is None else table[t] for t in self.moves[p.giver, p.var, p.receiver]]
+            j = self.sig.var_index[p.var]
+            if p.giver not in (rank := self.rank[j]):
+                return 0
+            shift = (rank[p.receiver] - rank[p.giver]) * self.stride[j] * self.width
+            moved = table >> shift if shift >= 0 else table << -shift
+            return moved & self.own(frozenset({p.giver}), j)
         if kind is Test:
-            return [g & row for g, row in zip(self.table[id(p.condition)], table)]
+            return self.table[id(p.condition)] & table
         if kind is Seq:  # a chain of steps in a loop, the last one first
             for step in reversed(operands(p)):
                 table = self.pre(step, table)
             return table
         if kind is Choice:
-            return reduce(_union, (self.pre(arm, table) for arm in operands(p)))
+            return reduce(or_, (self.pre(arm, table) for arm in operands(p)))
         while type(p.body) is Star:  # Star: (x*)* is x*, so a run of stars costs no recursion
             p = p.body
         x = table
-        while (step := _union(table, self.pre(p.body, x))) != x:
+        while (step := table | self.pre(p.body, x)) != x:
             x = step
         return x
 
@@ -256,11 +312,16 @@ class _Tables:
         positions rather than every position's own."""
         kind = type(p)
         if kind is Give:
-            moves = self.moves[p.giver, p.var, p.receiver]
-            return {t for a in reached if (t := moves[a]) is not None}
+            j = self.sig.var_index[p.var]
+            if p.giver not in (rank := self.rank[j]):
+                return set()
+            stride, here = self.stride[j], rank[p.giver]
+            step = (rank[p.receiver] - here) * stride
+            return {a + step for a in reached if a // stride % len(rank) == here}
         if kind is Test:
-            gate = self.table[id(p.condition)]
-            return {a for a in reached if gate[a] >> self.point & 1}
+            gate, width = self.to_bytes(self.table[id(p.condition)]), self.width
+            return {a for a in reached
+                    if gate[(b := a * width + self.point) >> 3] >> (b & 7) & 1}
         if kind is Seq:  # a chain of steps in a loop
             for step in operands(p):
                 reached = self.post(step, reached)
@@ -280,18 +341,54 @@ class _Tables:
             rounds += 1
         return out, rounds
 
+    def allocation(self, a: int) -> Allocation:
+        """The allocation at domain position ``a``."""
+        return Allocation(self.sig, tuple(agents_of[a // stride % len(agents_of)]
+                                          for agents_of, stride in zip(self.owners, self.stride)))
+
+    def to_bytes(self, t: int) -> bytes:
+        """The table's bits, little-endian, eight to a byte."""
+        return t.to_bytes(-(-len(self.domain) * self.width // 8), "little")
+
+    def rows(self, t: int) -> list[int]:
+        """The table's rows, position by position."""
+        data, width = self.to_bytes(t), self.width
+        if width >= 8:  # whole bytes per row
+            step = width >> 3
+            return [int.from_bytes(data[b:b + step], "little") for b in range(0, len(data), step)]
+        mask = (1 << width) - 1  # several rows per byte
+        return [byte >> b & mask for byte in data for b in range(0, 8, width)][:len(self.domain)]
+
+    def first(self, t: int) -> tuple[int, int]:
+        """The position of a non-empty table's first non-empty row, and the
+        lowest bit of that row."""
+        return divmod((t ^ t - 1).bit_length() - 1, self.width)
+
+    def mixed(self, t: int) -> bool:
+        """Whether every row of the table holds some valuation and misses some."""
+        low = self.tiled(1)
+
+        def nonempty(x: int) -> int:  # bit 0 of each row becomes the OR of its row
+            shift = 1
+            while shift < self.width:
+                x |= x >> shift
+                shift <<= 1
+            return x & low
+        return nonempty(t) == low == nonempty(self.full ^ t)
+
 
 def evaluate(model: DirectModel, formula: Formula) -> bool:
     """Truth of the formula in the model under the direct semantics."""
     tables = _Tables(model.sig, [formula], model)
-    return bool(tables.table[id(formula)][0] >> tables.point & 1)
+    return bool(tables.table[id(formula)] & 1 << tables.point)  # row 0 is the model's
 
 
 def program_image(model: DirectModel, program: Program) -> list[DirectModel]:
     """All models one run of the program can reach, in canonical order."""
     tables = _Tables(model.sig, [program], model)
-    return [DirectModel(model.sig, Allocation.from_index(model.sig, a), model.val)
-            for a in sorted(tables.domain[t] for t in tables.post(program, {0}))]
+    return [DirectModel(model.sig, alloc, model.val)
+            for alloc in sorted(map(tables.allocation, tables.post(program, {0})),
+                                key=Allocation.index)]
 
 
 def in_relation(start: DirectModel, end: DirectModel, program: Program) -> bool:
@@ -320,12 +417,12 @@ def truth_rows(formula: Formula, sig: Signature) -> list[int]:
 
 def truth_rows_each(formulas: list[Formula], sig: Signature) -> list[list[int]]:
     """``truth_rows`` of each formula, from one walk over all of them."""
-    tables, rows = _rows(formulas, sig)
-    return [tables.reduction.lift(r) for r in rows]
+    tables, packed = _tables(formulas, sig)
+    return [tables.reduction.lift(tables.rows(t)) for t in packed]
 
 
-def _rows(formulas: list[Formula], sig: Signature) -> tuple[_Tables, list[list[int]]]:
+def _tables(formulas: list[Formula], sig: Signature) -> tuple[_Tables, list[int]]:
     """The formulas' tables over their ``reduction`` of the signature, and
-    each formula's rows over its ``sub``, from one walk over all of them."""
+    each formula's table, from one walk over all of them."""
     tables = _Tables(sig, formulas)
     return tables, [tables.table[id(f)] for f in formulas]

@@ -1,9 +1,13 @@
 import random
 
+import pytest
+
 from propctl import semantics
 from propctl.model import (
+    Allocation,
     DirectModel,
     Signature,
+    SignatureError,
     Valuation,
     enumerate_allocations,
 )
@@ -169,3 +173,12 @@ def test_distinct_tables_bounded_by_description_count():
     rng = random.Random(21)
     tables = {normal_form(random_formula(rng, sig, 3), sig) for _ in range(60)}
     assert len(tables) <= 4  # true, false, p and ~p
+
+
+@pytest.mark.parametrize("index", [1, 3])
+def test_satisfying_refuses_an_allocation_of_another_signature(index):
+    # a 2x2 allocation against a 2x1 normal form: index 1 names a row of the
+    # table, index 3 none
+    nf = normal_form(parse_formula("p"), Signature(("1", "2"), ("p",)))
+    with pytest.raises(SignatureError):
+        nf.satisfying(Allocation.from_index(SIG22, index))

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from propctl import semantics
+from propctl import kripke, semantics
 from propctl.model import (
     Allocation,
     DirectModel,
@@ -29,6 +29,7 @@ from propctl.syntax import (
     Test,
     TOP,
     box_prog,
+    conj_all,
     give_program,
     parse_formula,
     parse_program,
@@ -324,3 +325,94 @@ def test_long_program_chains_are_answered():
         assert star_depth(m, program) == star_depth(m, same)
         assert (semantics.truth_rows(DiaProg(program, Atom("p")), m.sig)
                 == semantics.truth_rows(DiaProg(same, Atom("p")), m.sig))
+
+
+# --- the packed layout: row widths, the drop threshold, the product domain --
+
+def naming_everything(sig: Signature) -> Formula:
+    """A formula naming every agent and variable, so that no table is cut."""
+    return Dia(frozenset(sig.agents), conj_all(Atom(p) for p in sig.vars))
+
+
+@pytest.mark.parametrize("variables", [1, 2, 3, 4])
+def test_rows_of_each_width_agree_with_kripke_over_the_signature(variables):
+    sig = Signature(("1", "2"), tuple("pqrs"[:variables]))
+    rng = random.Random(variables)
+    for _ in range(6):
+        f = Or(random_formula(rng, sig, 3), naming_everything(sig))
+        assert semantics._Tables(sig, [f]).width == 1 << variables
+        assert kripke.cross_check(sig, f)
+
+
+@pytest.mark.parametrize("text, width", [
+    ("p & <give(1,q,2)>~s", 1),  # no diamond: nothing is free
+    ("dia{2} r & q", 2),  # 2 never owns q
+    ("dia{1}(p & ~q) & r", 4),
+    ("<give(2,r,1)> dia{1}(p & ~q & r)", 8),  # 1 can own r after the handover
+    ("dia{1,2}(p & q & ~r & s)", 16),
+])
+def test_rows_of_each_width_agree_with_kripke_at_every_model(text, width):
+    sig = Signature(("1", "2"), ("p", "q", "r", "s"))
+    f = parse_formula(text, sig)
+    here = DirectModel(sig, Allocation.from_map(sig, {"p": "1", "q": "1", "r": "2", "s": "2"}),
+                       Valuation.from_true_vars(sig, ["p", "r"]))
+    assert semantics._Tables(sig, [f], here).width == width
+    for m in models_of(sig):
+        assert evaluate(m, f) == kripke.evaluate(kripke.pointed_of(m), f), m
+
+
+@pytest.mark.parametrize("agents, variables, large", [(2, 7, False), (3, 6, True)])
+def test_tables_on_either_side_of_the_drop_threshold_agree_with_kripke(agents, variables, large):
+    sig = Signature(tuple(str(i + 1) for i in range(agents)),
+                    tuple(f"p{j}" for j in range(variables)))
+    rng = random.Random(agents * variables)
+    for _ in range(3):
+        f = Or(random_formula(rng, sig, 2), naming_everything(sig))
+        tables = semantics._Tables(sig, [f])
+        assert tables.large == large
+        assert (len(tables.domain) * tables.width > semantics._DROP_BITS) == large
+        rows = semantics.truth_rows(f, sig)
+        for _ in range(30):
+            alloc = Allocation.from_index(sig, rng.randrange(len(rows)))
+            val = Valuation(sig, rng.randrange(1 << variables))
+            pointed = kripke.PointedKripkeModel(sig, alloc, val)
+            assert bool(rows[alloc.index()] >> val.bits & 1) == kripke.evaluate(pointed, f)
+            assert evaluate(DirectModel(sig, alloc, val), f) == kripke.evaluate(pointed, f)
+
+
+def kripke_depth(pointed, body) -> int:
+    """Rounds of the body's image, iterated from the pointed model, that find new models."""
+    reached, frontier, rounds = {pointed}, {pointed}, 0
+    while frontier := set().union(*(kripke._pointed_image(x, body) for x in frontier)) - reached:
+        reached |= frontier
+        rounds += 1
+    return rounds
+
+
+def test_product_positions_no_run_reaches_are_never_reported():
+    # p can pass to 2 and q to 3, so the domain has four positions; from
+    # (p: 1, q: 2), a run of the chain reaches only (p: 2, q: 3)
+    sig = Signature(("1", "2", "3"), ("p", "q"))
+    chain = parse_program("give(1,p,2); give(2,q,3)", sig)
+    start = DirectModel(sig, Allocation.from_map(sig, {"p": "1", "q": "2"}),
+                        Valuation.from_true_vars(sig, ["p"]))
+    assert len(semantics._Tables(sig, [chain], start).domain) == 4
+    assert program_image(start, Star(chain)) == [start, DirectModel(
+        sig, Allocation.from_map(sig, {"p": "2", "q": "3"}), start.val)]
+    programs = [chain, Star(chain), Choice(chain, Test(parse_formula("dia{1} ~p", sig))),
+                *(parse_program(text, sig) for text in (
+                    "give(1,p,2); (controls(2,p))?; give(2,q,3)",
+                    "(p & dia{1} ~q)?; give(1,p,2)",  # the test reads the model's valuation
+                    "give(1,p,2); give(2,p,3)"))]  # p passes on twice
+    formulas = [parse_formula(text, sig) for text in (
+        "<(give(1,p,2); give(2,q,3))*>(controls(3,q) & dia{2} ~p)",
+        "[give(1,p,2); give(2,q,3)] dia{3} ~q",
+        "<give(1,p,2); give(2,q,3)> dia{1} ~p")]
+    for m in models_of(sig):
+        pointed = kripke.pointed_of(m)
+        for program in programs:
+            assert ({r.alloc for r in program_image(m, program)}
+                    == {k.alloc for k in kripke._pointed_image(pointed, program)})
+            assert star_depth(m, program) == kripke_depth(pointed, program)
+        for f in formulas:
+            assert evaluate(m, f) == kripke.evaluate(pointed, f)
