@@ -52,8 +52,15 @@ def _tile(pattern: int, width: int, count: int) -> int:
     return out
 
 
-# A table of more bits than this is large: its spent inputs are dropped,
-# and a diamond reads its body's support (see ``_Tables``).
+# A table of more bits than this is large.  A large table's inputs are
+# dropped once read for the last time, its atom and coalition masks are
+# remade where read (a handover's is kept: a star reads it every round), and
+# a diamond flips only the variables its body reads.  At 3x10, where a table
+# is 7.6 MB, flipping every variable takes 3.5 times as long, and keeping
+# every mask 30% more memory for 30% less time.  On the small tables of the
+# benchmark's queries, remaking atom or coalition masks would cost up to 9%
+# of the query rate, and finding what each body reads up to 16% (2 vCPUs,
+# Python 3.11).
 _DROP_BITS = 1 << 15
 
 
@@ -212,9 +219,6 @@ class _Tables:
         self.free = {j: (1 << i, m) for i, (j, m) in enumerate(zip(free, masks))}
         self.point = sum(1 << i for i, j in enumerate(free) if self.val >> j & 1)
         self._masks: dict = {}  # atom tables by variable, ownership masks by (agents, variable)
-        # Large tables are dropped once read for the last time, and a diamond
-        # flips only the variables its body reads; on small ones, finding
-        # either would cost more than it saves.
         self.large = size * width > _DROP_BITS
         spent = _spent(nodes, roots) if self.large else {}
         self.support = _support(nodes, sig) if self.large else {}
@@ -260,11 +264,11 @@ class _Tables:
                 self._masks[j] = mask
         return mask
 
-    def own(self, agents: frozenset[str], j: int) -> int:
+    def own(self, agents: frozenset[str], j: int, keep: bool = False) -> int:
         """The table whose rows are full where one of the agents owns
-        variable ``j``, and empty elsewhere: made once per query, since a
-        star reads it every round."""
-        if (agents, j) not in self._masks:
+        variable ``j``, and empty elsewhere: kept for the query if small,
+        or if ``keep`` asks (a handover's, which a star reads every round)."""
+        if (mask := self._masks.get((agents, j))) is None:
             rank = self.rank[j]
             ranks = [r for a, r in rank.items() if a in agents]
             if len(ranks) == len(rank):
@@ -276,8 +280,9 @@ class _Tables:
                 cycle = reduce(or_, (((1 << run) - 1) << r * run for r in ranks))
                 cycles = len(self.domain) // (len(rank) * self.stride[j])
                 mask = _tile(cycle, len(rank) * run, cycles)
-            self._masks[agents, j] = mask
-        return self._masks[agents, j]
+            if keep or not self.large:
+                self._masks[agents, j] = mask
+        return mask
 
     def pre(self, p: Program, table: int) -> int:
         """Per domain position, the join of the table's rows at the
@@ -290,7 +295,7 @@ class _Tables:
                 return 0
             shift = (rank[p.receiver] - rank[p.giver]) * self.stride[j] * self.width
             moved = table >> shift if shift >= 0 else table << -shift
-            return moved & self.own(frozenset({p.giver}), j)
+            return moved & self.own(frozenset({p.giver}), j, keep=True)
         if kind is Test:
             return self.table[id(p.condition)] & table
         if kind is Seq:  # a chain of steps in a loop, the last one first

@@ -19,6 +19,7 @@ from propctl.syntax import (
     Star,
     Test,
     TOP,
+    conj_all,
     parse_model,
 )
 
@@ -81,6 +82,11 @@ def random_formula(rng: random.Random, sig: Signature, depth: int) -> Formula:
         return Dia(random_coalition(rng, sig), random_formula(rng, sig, depth - 1))
     return DiaProg(random_program(rng, sig, min(depth - 1, 2)),
                    random_formula(rng, sig, depth - 1))
+
+
+def naming_everything(sig: Signature) -> Formula:
+    """A formula naming every agent and variable, so that no table is cut."""
+    return Dia(frozenset(sig.agents), conj_all(Atom(p) for p in sig.vars))
 
 
 def random_objective(rng: random.Random, sig: Signature, depth: int) -> Formula:

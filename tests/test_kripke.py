@@ -3,9 +3,9 @@ import random
 from propctl import semantics
 from propctl.kripke import cross_check, evaluate, pointed_of
 from propctl.model import Signature
-from propctl.syntax import TOP, parse_formula
+from propctl.syntax import TOP, Or, parse_formula
 
-from helpers import models_of, random_formula, random_program, sample_model
+from helpers import models_of, naming_everything, random_formula, random_program, sample_model
 
 SIG22 = Signature(("1", "2"), ("p", "q"))
 
@@ -77,6 +77,10 @@ def test_exhaustive_agreement_small_signatures():
                         tuple(f"v{i}" for i in range(variables)))
         for _ in range(30):
             assert cross_check(sig, random_formula(rng, sig, 3))
+    # rows 16 bits wide: a formula naming every agent and variable is not cut
+    sig = Signature(("1", "2"), ("v0", "v1", "v2", "v3"))
+    for _ in range(6):
+        assert cross_check(sig, Or(random_formula(rng, sig, 3), naming_everything(sig)))
 
 
 def test_program_images_agree_small_signatures():

@@ -29,14 +29,13 @@ from propctl.syntax import (
     Test,
     TOP,
     box_prog,
-    conj_all,
     give_program,
     parse_formula,
     parse_program,
     postorder,
 )
 
-from helpers import models_of, random_formula, random_program, sample_model
+from helpers import models_of, naming_everything, random_formula, random_program, sample_model
 
 SIG22 = Signature(("1", "2"), ("p", "q"))
 
@@ -328,21 +327,6 @@ def test_long_program_chains_are_answered():
 
 
 # --- the packed layout: row widths, the drop threshold, the product domain --
-
-def naming_everything(sig: Signature) -> Formula:
-    """A formula naming every agent and variable, so that no table is cut."""
-    return Dia(frozenset(sig.agents), conj_all(Atom(p) for p in sig.vars))
-
-
-@pytest.mark.parametrize("variables", [1, 2, 3, 4])
-def test_rows_of_each_width_agree_with_kripke_over_the_signature(variables):
-    sig = Signature(("1", "2"), tuple("pqrs"[:variables]))
-    rng = random.Random(variables)
-    for _ in range(6):
-        f = Or(random_formula(rng, sig, 3), naming_everything(sig))
-        assert semantics._Tables(sig, [f]).width == 1 << variables
-        assert kripke.cross_check(sig, f)
-
 
 @pytest.mark.parametrize("text, width", [
     ("p & <give(1,q,2)>~s", 1),  # no diamond: nothing is free
