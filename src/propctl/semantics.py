@@ -36,7 +36,7 @@ from operator import or_
 
 from .model import Allocation, DirectModel, Signature, SignatureError
 from .syntax import (CHILDREN, Atom, Choice, Dia, Formula, Give, Not, Or, Program, Seq, Star,
-                     Test, Top, _fit, disj_all, operands)
+                     Test, Top, disj_all, ensure_fits, operands)
 
 
 def _tile(pattern: int, width: int, count: int) -> int:
@@ -185,7 +185,7 @@ class _Tables:
     """
 
     def __init__(self, sig: Signature, roots: list, model: DirectModel | None = None):
-        nodes, props, agents = _fit(disj_all(roots), sig)
+        nodes, props, agents = ensure_fits(disj_all(roots), sig)
         if model is None:
             self.reduction = _reduction(sig, props, agents)
             sig = self.reduction.sub

@@ -183,22 +183,18 @@ def give_program(givers, receivers, sig: Signature) -> Program:
     """Nondeterministic handover: any giver passes any variable it currently
     controls to any receiver, or keeps it.
 
-    Every variable of the signature is mentioned, guarded by a controls
-    test, so the same program text is correct under every allocation.
+    Every handover of every variable of the signature is an arm, so the
+    same program text is correct under every allocation: a handover runs
+    only where its giver owns the variable, so an arm needs no test.
     """
-    giver_list = sorted(set(givers))
+    giver_list, targets = sorted(set(givers)), set(receivers)
     if not giver_list:
         raise SignatureError("give program needs a non-empty giving coalition")
-    for a in list(giver_list) + sorted(set(receivers)):
+    for a in giver_list + sorted(targets):
         if a not in sig.agent_index:
             raise SignatureError(f"unknown agent {a!r}")
-    arms = []
-    for i in giver_list:
-        targets = sorted(set(receivers) | {i})
-        for p in sig.vars:
-            hand_over = choice_all(Give(i, p, j) for j in targets)
-            arms.append(Seq(Test(controls({i}, Atom(p))), hand_over))
-    return choice_all(arms)
+    return choice_all(Give(i, p, j) for i in giver_list for p in sig.vars
+                      for j in sorted(targets | {i}))
 
 
 def second_order_controls(agent: str, body: Formula, sig: Signature) -> Formula:
@@ -286,15 +282,11 @@ def signature_of(node) -> tuple[frozenset[str], frozenset[str]]:
     return _names(postorder(node))
 
 
-def ensure_fits(node, sig: Signature) -> list:
+def ensure_fits(node, sig: Signature) -> tuple[list, frozenset[str], frozenset[str]]:
     """Raise ``SignatureError`` if the node names anything outside the
-    signature; otherwise return ``postorder(node)``, so that a caller
-    walking the node next needs no second walk."""
-    return _fit(node, sig)[0]
-
-
-def _fit(node, sig: Signature) -> tuple[list, frozenset[str], frozenset[str]]:
-    """``ensure_fits``, returning with the walk the variables and agents it names."""
+    signature; otherwise return ``postorder(node)`` and the variables and
+    agents it names, so that a caller walking the node next needs no
+    second walk."""
     nodes = postorder(node)
     props, agents = _names(nodes)
     parts = [f"{kind}(s) " + ", ".join(sorted(bad)) for kind, bad in
@@ -386,9 +378,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = sig
-        # A group that group() has already read; the next unary() or base()
-        # returns it as its operand.
-        self.read_ahead: Formula | Program | None = None
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -403,8 +392,10 @@ class _Parser:
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        if self.at(kind, text):
-            return self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and (text is None or tok.text == text):
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
@@ -422,16 +413,46 @@ class _Parser:
     def name(self, what: str) -> str:
         return self.expect("name", what).text
 
+    def agent(self) -> str:
+        return self.name("agent name")
+
     def coalition(self) -> frozenset[str]:
         if self.accept("{"):
             names: set[str] = set()
             if not self.at("}"):
-                names.add(self.name("agent name"))
+                names.add(self.agent())
                 while self.accept(","):
-                    names.add(self.name("agent name"))
+                    names.add(self.agent())
             self.expect("}")
             return frozenset(names)
-        return frozenset({self.name("agent name")})
+        return frozenset({self.agent()})
+
+    def call(self, *readers) -> list:
+        """A parenthesized, comma-separated argument list: what each reader
+        reads, in order."""
+        self.expect("(")
+        out = [readers[0]()]
+        for read in readers[1:]:
+            self.expect(",")
+            out.append(read())
+        self.expect(")")
+        return out
+
+    def keyword(self, word: str, read):
+        """The keyword, then what ``read`` reads."""
+        if not self.accept("keyword", word):
+            raise self.fail(f"expected {word!r}")
+        return read()
+
+    def handovers(self) -> tuple:
+        """The argument of ``giveall``, once a signature is known to be in
+        scope: one agent, who may pass to every agent, or a giving
+        coalition ``->`` a receiving one."""
+        if self.at("name") and self.tokens[self.pos + 1].kind == ")":
+            return frozenset({self.agent()}), self.sig.agents
+        givers = self.coalition()
+        self.expect("->")
+        return givers, self.coalition()
 
     def need_sig(self, construct: str) -> Signature:
         if self.sig is None:
@@ -456,10 +477,14 @@ class _Parser:
     def program(self) -> Program:
         return self.infix("program", 1)
 
-    def infix(self, sort: str, level: int):
+    def infix(self, sort: str, level: int, first=None):
         """Operands of the sort joined by its infix operators of at least
-        the given level: precedence climbing over ``_INFIX``."""
-        out = self.unary() if sort == "formula" else self.star()
+        the given level: precedence climbing over ``_INFIX``.  ``first`` is
+        the leftmost operand (before any star) if it has been read already."""
+        if sort == "program":
+            out = self.star(first)
+        else:
+            out = self.unary() if first is None else first
         while (op := _INFIX.get(self.peek().kind)) and op[0] == sort and op[1] >= level:
             self.pos += 1
             _, at, build, right = op
@@ -468,9 +493,6 @@ class _Parser:
 
     def unary(self) -> Formula:
         """A run of prefix operators, applied innermost first, then a primary."""
-        if self.read_ahead is not None:
-            out, self.read_ahead = self.read_ahead, None
-            return out
         run = []  # the constructors read, outermost first
         while (build := _PREFIX.get(self.peek().text)) is not None:
             tok = self.next()
@@ -492,23 +514,11 @@ class _Parser:
             return TOP
         if self.accept("keyword", "false"):
             return bottom()
-        if self.at("keyword", "controls"):
-            self.next()
-            self.expect("(")
-            c = self.coalition()
-            self.expect(",")
-            body = self.formula()
-            self.expect(")")
-            return controls(c, body)
-        if self.at("keyword", "CONTROLS"):
-            self.next()
+        if self.accept("keyword", "controls"):
+            return controls(*self.call(self.coalition, self.formula))
+        if self.accept("keyword", "CONTROLS"):
             sig = self.need_sig("CONTROLS")
-            self.expect("(")
-            agent = self.name("agent name")
-            self.expect(",")
-            body = self.formula()
-            self.expect(")")
-            return second_order_controls(agent, body, sig)
+            return second_order_controls(*self.call(self.agent, self.formula), sig)
         if self.accept("("):
             out = self.formula()
             self.expect(")")
@@ -517,73 +527,42 @@ class _Parser:
             return Atom(self.next().text)
         raise self.fail(f"expected a formula, got {self.peek().text or 'end of input'!r}")
 
-    def star(self) -> Program:
-        out = self.base()
+    def star(self, out: Program | None = None) -> Program:
+        if out is None:
+            out = self.base()
         while self.accept("*"):
             out = Star(out)
         return out
 
     def base(self) -> Program:
-        if self.read_ahead is not None:
-            out, self.read_ahead = self.read_ahead, None
-            return out
-        if self.at("keyword", "give"):
-            self.next()
-            self.expect("(")
-            giver = self.name("agent name")
-            self.expect(",")
-            var = self.name("variable name")
-            self.expect(",")
-            receiver = self.name("agent name")
-            self.expect(")")
-            return Give(giver, var, receiver)
-        if self.at("keyword", "giveall"):
-            tok = self.next()
+        if self.accept("keyword", "give"):
+            return Give(*self.call(self.agent, partial(self.name, "variable name"), self.agent))
+        if tok := self.accept("keyword", "giveall"):
             sig = self.need_sig("giveall")
-            self.expect("(")
-            if self.at("name") and self.tokens[self.pos + 1].kind == ")":
-                agent = self.name("agent name")
-                self.expect(")")
-                return give_program({agent}, sig.agents, sig)
-            givers = self.coalition()
-            self.expect("->")
-            receivers = self.coalition()
-            self.expect(")")
+            [(givers, receivers)] = self.call(self.handovers)
             if not givers:
                 raise ParseError("giveall needs a non-empty giving coalition",
                                  tok.line, tok.col)
             return give_program(givers, receivers, sig)
-        if self.at("keyword", "test"):
-            self.next()
-            self.expect("(")
-            cond = self.formula()
-            self.expect(")")
-            return Test(cond)
+        if self.accept("keyword", "test"):
+            return Test(*self.call(self.formula))
         if self.accept("keyword", "skip"):
             return Test(TOP)
         if self.accept("keyword", "fail"):
             return Test(bottom())
         if self.accept("keyword", "if"):
             cond = self.formula()
-            if not self.accept("keyword", "then"):
-                raise self.fail("expected 'then'")
-            then_branch = self.program()
-            if not self.accept("keyword", "else"):
-                raise self.fail("expected 'else'")
-            else_branch = self.program()
+            then_branch = self.keyword("then", self.program)
+            else_branch = self.keyword("else", self.program)
             return Choice(Seq(Test(cond), then_branch),
                           Seq(Test(Not(cond)), else_branch))
         if self.accept("keyword", "while"):
             cond = self.formula()
-            if not self.accept("keyword", "do"):
-                raise self.fail("expected 'do'")
-            body = self.program()
+            body = self.keyword("do", self.program)
             return Seq(Star(Seq(Test(cond), body)), Test(Not(cond)))
         if self.accept("keyword", "repeat"):
             body = self.program()
-            if not self.accept("keyword", "until"):
-                raise self.fail("expected 'until'")
-            cond = self.formula()
+            cond = self.keyword("until", self.formula)
             return Seq(Seq(body, Star(Seq(Test(Not(cond)), body))), Test(cond))
         if self.at("("):
             out = self.group()
@@ -604,8 +583,7 @@ class _Parser:
             inner = self.group()
             if isinstance(inner, Formula) and self.accept("?"):
                 inner = Test(inner)
-            self.read_ahead = inner
-            out = self.program() if isinstance(inner, Program) else self.formula()
+            out = self.infix("program" if isinstance(inner, Program) else "formula", 1, inner)
         elif self.peek().kind == "keyword" and self.peek().text in _PROGRAM_KEYWORDS:
             out = self.program()
         else:
@@ -662,7 +640,7 @@ def parse_model(text: str) -> DirectModel:
             if head in lists:
                 raise ParseError(f"duplicate {head} line", line_no, 1)
             lists[head] = split_names(body, line_no)
-        elif head.startswith("owns"):
+        elif head.split(maxsplit=1)[:1] == ["owns"]:
             agent = head[len("owns"):].strip()
             if not is_valid_name(agent):
                 raise ParseError(f"bad agent name {agent!r} in owns line", line_no, 1)

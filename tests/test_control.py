@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from propctl import semantics
 from propctl.control import (
     characterize_second_order,
     delegation_can_achieve,
@@ -37,7 +38,7 @@ from propctl.syntax import (
     signature_of,
 )
 
-from helpers import models_of, random_formula, random_objective, sample_model
+from helpers import models_of, naming_everything, random_formula, random_objective, sample_model
 
 SIG22 = Signature(("1", "2"), ("p", "q"))
 
@@ -232,14 +233,20 @@ def test_characterization_agrees_with_direct_evaluation():
 
 
 def test_characterization_agrees_with_direct_evaluation_on_large_tables():
-    # 2x8: both sides build tables large enough to be dropped once spent
+    # 2x8: both sides build tables large enough to be dropped once spent.
+    # The formula names every variable under a diamond, so the tables over
+    # the signature are not cut and the rows at the model are full width;
+    # conjoined, that valid part leaves the answer to the random formula.
     sig = Signature(("1", "2"), tuple(f"p{i}" for i in range(8)))
     rng = random.Random(54)
     for _ in range(4):
-        f = random_formula(rng, sig, 2)
+        f = conj(random_formula(rng, sig, 2), naming_everything(sig))
         m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, rng.randrange(256)))
+        goal = second_order_controls("1", f, sig)
+        assert semantics._Tables(sig, [Dia(frozenset({"1"}), f)]).large
+        assert semantics._Tables(sig, [goal], m).large
         table = characterize_second_order(sig, m.alloc, m.val, "1", f)
-        assert table == evaluate(m, second_order_controls("1", f, sig))
+        assert table == evaluate(m, goal)
 
 
 # --- validity-level characterization ----------------------------------------

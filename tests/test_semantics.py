@@ -29,10 +29,14 @@ from propctl.syntax import (
     Test,
     TOP,
     box_prog,
+    choice_all,
+    conj,
+    controls,
     give_program,
     parse_formula,
     parse_program,
     postorder,
+    second_order_controls,
 )
 
 from helpers import models_of, naming_everything, random_formula, random_program, sample_model
@@ -297,14 +301,19 @@ def test_single_model_rows_cover_only_what_diamonds_can_flip():
 def test_large_tables_are_dropped_without_changing_answers():
     # 256 allocations of 256 valuations: large enough that spent tables are
     # dropped, both over the signature and at a model whose handovers reach
-    # every allocation
+    # every allocation.  The body names every variable under a diamond, so
+    # rows at the model are full width; conjoined, that valid part leaves
+    # the answer to the random formula.
     sig = Signature(("1", "2"), tuple(f"p{i}" for i in range(8)))
     rng = random.Random(8)
     for _ in range(6):
-        f = DiaProg(Star(give_program({"1"}, sig.agents, sig)), random_formula(rng, sig, 3))
+        body = conj(random_formula(rng, sig, 3), naming_everything(sig))
+        f = DiaProg(Star(give_program({"1"}, sig.agents, sig)), body)
         rows = semantics.truth_rows(f, sig)
+        assert semantics._Tables(sig, [f]).large
         for bits in rng.sample(range(256), 3):
             m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, bits))
+            assert semantics._Tables(sig, [f], m).large
             assert evaluate(m, f) == bool(rows[0] >> bits & 1)
 
 
@@ -343,6 +352,17 @@ def test_rows_of_each_width_agree_with_kripke_at_every_model(text, width):
     assert semantics._Tables(sig, [f], here).width == width
     for m in models_of(sig):
         assert evaluate(m, f) == kripke.evaluate(kripke.pointed_of(m), f), m
+
+
+def test_giveall_rows_are_as_wide_as_the_body_reads():
+    # agent 1 owns every variable and can pass each to 2 or 3: the domain
+    # is 3**6 positions, and a row is over p0 and p1 alone
+    sig = Signature(("1", "2", "3"), tuple(f"p{j}" for j in range(6)))
+    m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation.from_true_vars(sig, ["p0"]))
+    f = parse_formula("CONTROLS(1, p0 & p1)", sig)
+    tables = semantics._Tables(sig, [f], m)
+    assert (len(tables.domain), tables.width) == (3 ** 6, 4)
+    assert evaluate(m, f)
 
 
 @pytest.mark.parametrize("agents, variables, large", [(2, 7, False), (3, 6, True)])
@@ -400,3 +420,38 @@ def test_product_positions_no_run_reaches_are_never_reported():
             assert star_depth(m, program) == kripke_depth(pointed, program)
         for f in formulas:
             assert evaluate(m, f) == kripke.evaluate(pointed, f)
+
+
+def guarded_give_program(givers, receivers, sig: Signature):
+    """``give_program`` as first written: each (giver, variable) arm runs
+    only after a test that the giver controls the variable."""
+    return choice_all(
+        Seq(Test(controls({i}, Atom(p))),
+            choice_all(Give(i, p, j) for j in sorted(set(receivers) | {i})))
+        for i in sorted(set(givers)) for p in sig.vars)
+
+
+@pytest.mark.parametrize("agents, text, givers, receivers", [
+    (2, "giveall(1)", {"1"}, ("1", "2")),
+    (2, "giveall(2)", {"2"}, ("1", "2")),
+    (3, "giveall(1)", {"1"}, ("1", "2", "3")),
+    (3, "giveall({1,2} -> {3})", {"1", "2"}, {"3"}),
+])
+def test_giveall_answers_as_the_guarded_expansion(agents, text, givers, receivers):
+    # a handover runs only where its giver owns the variable, so the
+    # controls test on each arm changes no answer
+    sig = Signature(tuple(str(i + 1) for i in range(agents)), ("p", "q"))
+    new, old = parse_program(text, sig), guarded_give_program(givers, receivers, sig)
+    assert new == give_program(givers, receivers, sig) != old
+    rng = random.Random(agents)
+    bodies = [random_formula(rng, sig, 2) for _ in range(4)]
+    bodies += [parse_formula(t, sig) for t in ("controls(2, p)", "dia{1}(p & ~q)", "false")]
+    for m in models_of(sig):
+        for program, reference in ((new, old), (Star(new), Star(old))):
+            assert program_image(m, program) == program_image(m, reference)
+            assert star_depth(m, program) == star_depth(m, reference)
+        for body in bodies:
+            assert evaluate(m, DiaProg(Star(new), body)) == evaluate(m, DiaProg(Star(old), body))
+        for agent in sig.agents:
+            goal = second_order_controls(agent, bodies[0], sig)
+            assert evaluate(m, goal) == kripke.evaluate(kripke.pointed_of(m), goal)

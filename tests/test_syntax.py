@@ -114,18 +114,46 @@ def test_lexer_positions_golden():
         ("(", "(", 2, 11), ("name", "1", 2, 12), (",", ",", 2, 13), ("name", "p", 2, 14),
         (",", ",", 2, 15), ("name", "2", 2, 16), (")", ")", 2, 17), (">", ">", 2, 18),
         ("name", "x_1", 2, 19), ("end", "", 2, 23)]
-    for text, want in [
-        ("p & # comment", ("expected a formula, got 'end of input'", 1, 5)),
-        ("p\t&\tq\t)", ("unexpected trailing input ')'", 1, 7)),
-        ("p &\r\n q )", ("unexpected trailing input ')'", 2, 4)),
-        ("p & é", ("bad identifier 'é'", 1, 5)),
-        ("pé", ("bad identifier 'pé'", 1, 1)),
-        ("-", ("unexpected character '-'", 1, 1)),
-        ("p <- q", ("unexpected character '-'", 1, 4)),
-        ("x\n\t# c\n  y #", ("unexpected trailing input 'y'", 3, 3)),
+    sig3 = Signature(("1", "2", "3"), ("p", "q"))
+    for parse, text, sig, want in [
+        (parse_formula, "p & # comment", None, ("expected a formula, got 'end of input'", 1, 5)),
+        (parse_formula, "p\t&\tq\t)", None, ("unexpected trailing input ')'", 1, 7)),
+        (parse_formula, "p &\r\n q )", None, ("unexpected trailing input ')'", 2, 4)),
+        (parse_formula, "p & é", None, ("bad identifier 'é'", 1, 5)),
+        (parse_formula, "pé", None, ("bad identifier 'pé'", 1, 1)),
+        (parse_formula, "-", None, ("unexpected character '-'", 1, 1)),
+        (parse_formula, "p <- q", None, ("unexpected character '-'", 1, 4)),
+        (parse_formula, "x\n\t# c\n  y #", None, ("unexpected trailing input 'y'", 3, 3)),
+        # call-shaped constructs, and bodies after a keyword
+        (parse_program, "give(1,p)", None, ("expected ',', got ')'", 1, 9)),
+        (parse_program, "give(1,p,2", None, ("expected ')', got 'end of input'", 1, 11)),
+        (parse_program, "give 1,p,2)", None, ("expected '(', got '1'", 1, 6)),
+        (parse_program, "give(1,,2)", None, ("expected variable name, got ','", 1, 8)),
+        (parse_program, "give(p q)", None, ("expected ',', got 'q'", 1, 8)),
+        (parse_formula, "CONTROLS(1)", sig3, ("expected ',', got ')'", 1, 11)),
+        (parse_formula, "CONTROLS(1, p)", None, ("CONTROLS needs a signature in scope", 1, 9)),
+        (parse_formula, "CONTROLS({1}, p)", sig3, ("expected agent name, got '{'", 1, 10)),
+        (parse_formula, "controls(1 p)", None, ("expected ',', got 'p'", 1, 12)),
+        (parse_formula, "controls({1,}, p)", None, ("expected agent name, got '}'", 1, 13)),
+        (parse_formula, "controls(1, p", None, ("expected ')', got 'end of input'", 1, 14)),
+        (parse_program, "test(p", None, ("expected ')', got 'end of input'", 1, 7)),
+        (parse_program, "test p", None, ("expected '(', got 'p'", 1, 6)),
+        (parse_program, "test(p, q)", None, ("expected ')', got ','", 1, 7)),
+        (parse_program, "if p then skip", None, ("expected 'else'", 1, 15)),
+        (parse_program, "if p skip", None, ("expected 'then'", 1, 6)),
+        (parse_program, "while p skip", None, ("expected 'do'", 1, 9)),
+        (parse_program, "repeat skip p", None, ("expected 'until'", 1, 13)),
+        (parse_program, "giveall({} -> 2)", sig3,
+         ("giveall needs a non-empty giving coalition", 1, 1)),
+        (parse_program, "giveall()", sig3, ("expected agent name, got ')'", 1, 9)),
+        (parse_program, "giveall(1)", None, ("giveall needs a signature in scope", 1, 8)),
+        (parse_program, "giveall(1 2)", sig3, ("expected '->', got '2'", 1, 11)),
+        (parse_program, "giveall({1} 2)", sig3, ("expected '->', got '2'", 1, 13)),
+        (parse_program, "giveall(1 -> 2", sig3, ("expected ')', got 'end of input'", 1, 15)),
+        (parse_formula, "<giveall({1} ->)>p", sig3, ("expected agent name, got ')'", 1, 16)),
     ]:
         with pytest.raises(ParseError) as err:
-            parse_formula(text)
+            parse(text, sig)
         assert (err.value.message, err.value.line, err.value.col) == want, text
 
 
@@ -237,8 +265,7 @@ def test_repeat_expansion():
 def test_giveall_single_agent_expansion():
     sig = Signature(("i", "j"), ("p",))
     got = parse_program("giveall(i)", sig)
-    want = Seq(Test(controls({"i"}, P)),
-               Choice(Give("i", "p", "i"), Give("i", "p", "j")))
+    want = Choice(Give("i", "p", "i"), Give("i", "p", "j"))
     assert got == want
     assert got == give_program({"i"}, sig.agents, sig)
 
@@ -456,6 +483,7 @@ _MODEL_REFUSALS = [
     ("owns 1: p\nowns 1: q\n", "duplicate owns line for agent '1'", 2),
     ("owns 1-2: p\n", "bad agent name '1-2' in owns line", 1),
     ("agents: 1\nowners 1: p\n", "unknown line kind 'owners 1'", 2),
+    ("agents: 1\nowns1: p\n", "unknown line kind 'owns1'", 2),
     ("vars: p\nowns 1: p\ntrue:\n", "model needs a non-empty agents line", 1),
     ("agents: 1\nvars:\nowns 1: p\ntrue:\n", "model needs a non-empty vars line", 1),
     ("agents: 1\nowns 1: p\ntrue:\n", "model needs a non-empty vars line", 1),
