@@ -283,8 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_controls, usage_error=p.error)
 
     p = sub.add_parser("axioms", parents=[output], help="run the validity scheme suite")
-    p.add_argument("--agents", type=int, required=True, help="number of agents")
-    p.add_argument("--vars", type=int, required=True, help="number of variables")
+    p.add_argument("--agents", type=_at_least(1, "a positive integer"), required=True,
+                   help="number of agents")
+    p.add_argument("--vars", type=_at_least(1, "a positive integer"), required=True,
+                   help="number of variables")
     p.add_argument("--depth", type=_at_least(2, "an integer of at least 2"), default=2,
                    help="modal depth of the instantiation formula pool (at least 2)")
     p.add_argument("--limit", type=_at_least(1, "a positive integer"),

@@ -14,8 +14,8 @@ table by the distance between the positions the handover links and keeps
 the rows where ``i`` owns ``p``; a test is a conjunction, sequencing
 composes, choice is a disjunction, and iteration is the least fixpoint of
 ``X = T | pre(body, X)``.  Programs never change the valuation, so a
-pre-image moves whole rows, and a model's program image follows the same
-handovers forwards, position by position.
+pre-image moves whole rows, and a model's program image is the same
+operator read forwards, from a table holding only the model's row.
 
 The domain is a product over the variables of the agents that can own
 each, and a position is a mixed-radix number: variable ``j``'s digit, the
@@ -284,80 +284,47 @@ class _Tables:
                 self._masks[agents, j] = mask
         return mask
 
-    def pre(self, p: Program, table: int) -> int:
+    def pre(self, p: Program, table: int, forward: bool = False) -> int:
         """Per domain position, the join of the table's rows at the
         positions one run of the program reaches, each masked by the tables
-        of the tests on the way."""
+        of the tests on the way.  ``forward`` reads the program the other
+        way round: per position, the join of the rows at the positions a
+        run reaches it from, so a table holding only the model's row gives
+        the positions a run reaches from the model."""
         kind = type(p)
         if kind is Give:
             j = self.sig.var_index[p.var]
-            if p.giver not in (rank := self.rank[j]):
+            if p.giver not in (rank := self.rank[j]):  # else the receiver is a possible owner too
                 return 0
-            shift = (rank[p.receiver] - rank[p.giver]) * self.stride[j] * self.width
+            source, target = (p.receiver, p.giver) if forward else (p.giver, p.receiver)
+            shift = (rank[target] - rank[source]) * self.stride[j] * self.width
             moved = table >> shift if shift >= 0 else table << -shift
-            return moved & self.own(frozenset({p.giver}), j, keep=True)
+            return moved & self.own(frozenset({source}), j, keep=True)
         if kind is Test:
             return self.table[id(p.condition)] & table
-        if kind is Seq:  # a chain of steps in a loop, the last one first
-            for step in reversed(operands(p)):
-                table = self.pre(step, table)
+        if kind is Seq:  # a chain of steps in a loop, the last one first unless forward
+            steps = operands(p)
+            for step in steps if forward else reversed(steps):
+                table = self.pre(step, table, forward)
             return table
         if kind is Choice:
-            return reduce(or_, (self.pre(arm, table) for arm in operands(p)))
+            return reduce(or_, (self.pre(arm, table, forward) for arm in operands(p)))
         while type(p.body) is Star:  # Star: (x*)* is x*, so a run of stars costs no recursion
             p = p.body
         x = table
-        while (step := table | self.pre(p.body, x)) != x:
+        while (step := table | self.pre(p.body, x, forward)) != x:
             x = step
         return x
-
-    def post(self, p: Program, reached: set[int]) -> set[int]:
-        """The domain positions one run of the program reaches from those
-        in ``reached``: the pre-image read forwards, for one set of
-        positions rather than every position's own."""
-        kind = type(p)
-        if kind is Give:
-            j = self.sig.var_index[p.var]
-            if p.giver not in (rank := self.rank[j]):
-                return set()
-            stride, here = self.stride[j], rank[p.giver]
-            step = (rank[p.receiver] - here) * stride
-            return {a + step for a in reached if a // stride % len(rank) == here}
-        if kind is Test:
-            gate, width = self.to_bytes(self.table[id(p.condition)]), self.width
-            return {a for a in reached
-                    if gate[(b := a * width + self.point) >> 3] >> (b & 7) & 1}
-        if kind is Seq:  # a chain of steps in a loop
-            for step in operands(p):
-                reached = self.post(step, reached)
-            return reached
-        if kind is Choice:
-            return set().union(*(self.post(arm, reached) for arm in operands(p)))
-        while type(p.body) is Star:  # Star, as in pre
-            p = p.body
-        return self.closure(p.body, reached)[0]
-
-    def closure(self, body: Program, reached: set[int]) -> tuple[set[int], int]:
-        """The positions any number of runs of the body reach from those in
-        ``reached``, and the number of rounds that found new ones."""
-        out, frontier, rounds = set(reached), reached, 0
-        while frontier := self.post(body, frontier) - out:
-            out |= frontier
-            rounds += 1
-        return out, rounds
 
     def allocation(self, a: int) -> Allocation:
         """The allocation at domain position ``a``."""
         return Allocation(self.sig, tuple(agents_of[a // stride % len(agents_of)]
                                           for agents_of, stride in zip(self.owners, self.stride)))
 
-    def to_bytes(self, t: int) -> bytes:
-        """The table's bits, little-endian, eight to a byte."""
-        return t.to_bytes(-(-len(self.domain) * self.width // 8), "little")
-
     def rows(self, t: int) -> list[int]:
         """The table's rows, position by position."""
-        data, width = self.to_bytes(t), self.width
+        width = self.width
+        data = t.to_bytes(-(-len(self.domain) * width // 8), "little")
         if width >= 8:  # whole bytes per row
             step = width >> 3
             return [int.from_bytes(data[b:b + step], "little") for b in range(0, len(data), step)]
@@ -391,8 +358,9 @@ def evaluate(model: DirectModel, formula: Formula) -> bool:
 def program_image(model: DirectModel, program: Program) -> list[DirectModel]:
     """All models one run of the program can reach, in canonical order."""
     tables = _Tables(model.sig, [program], model)
+    reached = tables.rows(tables.pre(program, 1 << tables.point, forward=True))
     return [DirectModel(model.sig, alloc, model.val)
-            for alloc in sorted(map(tables.allocation, tables.post(program, {0})),
+            for alloc in sorted((tables.allocation(a) for a, row in enumerate(reached) if row),
                                 key=Allocation.index)]
 
 
@@ -410,7 +378,11 @@ def star_depth(model: DirectModel, program: Program) -> int:
     some breadth-first depth B; a box over the iterated program then equals
     the conjunction of the 0..B-fold boxed bodies.
     """
-    return _Tables(model.sig, [program], model).closure(program, {0})[1]
+    tables = _Tables(model.sig, [program], model)
+    reached, rounds = 1 << tables.point, 0
+    while (grown := reached | tables.pre(program, reached, forward=True)) != reached:
+        reached, rounds = grown, rounds + 1
+    return rounds
 
 
 def truth_rows(formula: Formula, sig: Signature) -> list[int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from propctl.kripke import _pointed_image
 from propctl.model import DirectModel, Signature, enumerate_models
 from propctl.syntax import (
     Atom,
@@ -87,6 +88,15 @@ def random_formula(rng: random.Random, sig: Signature, depth: int) -> Formula:
 def naming_everything(sig: Signature) -> Formula:
     """A formula naming every agent and variable, so that no table is cut."""
     return Dia(frozenset(sig.agents), conj_all(Atom(p) for p in sig.vars))
+
+
+def kripke_depth(pointed, body) -> int:
+    """Rounds of the body's image, iterated from the pointed model, that find new models."""
+    reached, frontier, rounds = {pointed}, {pointed}, 0
+    while frontier := set().union(*(_pointed_image(x, body) for x in frontier)) - reached:
+        reached |= frontier
+        rounds += 1
+    return rounds
 
 
 def random_objective(rng: random.Random, sig: Signature, depth: int) -> Formula:

@@ -245,14 +245,17 @@ def test_axioms_command(capsys):
     assert len(record["schemes"]) > 20
 
 
-@pytest.mark.parametrize("limit", ["0", "-1", "x"])
-def test_axioms_limit_must_be_positive(capsys, limit):
+@pytest.mark.parametrize("flag, value", [  # the --limit cases keep their bare-value ids
+    pytest.param(flag, value, id=value if flag == "--limit" else f"{flag}={value}")
+    for flag in ("--limit", "--agents", "--vars") for value in ("0", "-1", "x")])
+def test_axioms_limit_must_be_positive(capsys, flag, value):
+    argv = {"--agents": "1", "--vars": "1", flag: value}
     with pytest.raises(SystemExit) as exc:
-        main(["axioms", "--agents", "1", "--vars", "1", f"--limit={limit}"])
+        main(["axioms", *(f"{k}={v}" for k, v in argv.items())])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert f"argument --limit: expected a positive integer, got '{limit}'" in captured.err
+    assert f"argument {flag}: expected a positive integer, got '{value}'" in captured.err
 
 
 @pytest.mark.parametrize("depth", ["1", "0", "-3", "x"])

@@ -39,7 +39,8 @@ from propctl.syntax import (
     second_order_controls,
 )
 
-from helpers import models_of, naming_everything, random_formula, random_program, sample_model
+from helpers import (kripke_depth, models_of, naming_everything, random_formula, random_program,
+                     sample_model)
 
 SIG22 = Signature(("1", "2"), ("p", "q"))
 
@@ -303,7 +304,8 @@ def test_large_tables_are_dropped_without_changing_answers():
     # dropped, both over the signature and at a model whose handovers reach
     # every allocation.  The body names every variable under a diamond, so
     # rows at the model are full width; conjoined, that valid part leaves
-    # the answer to the random formula.
+    # the answer to the random formula.  The same body as a test after each
+    # handover of a star gives forward images over a large table.
     sig = Signature(("1", "2"), tuple(f"p{i}" for i in range(8)))
     rng = random.Random(8)
     for _ in range(6):
@@ -315,6 +317,15 @@ def test_large_tables_are_dropped_without_changing_answers():
             m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, bits))
             assert semantics._Tables(sig, [f], m).large
             assert evaluate(m, f) == bool(rows[0] >> bits & 1)
+    step = Seq(give_program({"1"}, sig.agents, sig), Test(body))
+    for bits in rng.sample(range(256), 2):
+        m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, bits))
+        assert semantics._Tables(sig, [Star(step)], m).large
+        pointed = kripke.pointed_of(m)
+        assert [kripke.pointed_of(r) for r in program_image(m, Star(step))] == sorted(
+            kripke._pointed_image(pointed, Star(step)), key=lambda pm: pm.alloc.index())
+        # the step's depth, since a star's own is at most 1
+        assert star_depth(m, step) == kripke_depth(pointed, step)
 
 
 def test_long_program_chains_are_answered():
@@ -371,7 +382,7 @@ def test_tables_on_either_side_of_the_drop_threshold_agree_with_kripke(agents, v
                     tuple(f"p{j}" for j in range(variables)))
     rng = random.Random(agents * variables)
     for _ in range(3):
-        f = Or(random_formula(rng, sig, 2), naming_everything(sig))
+        f = conj(random_formula(rng, sig, 2), naming_everything(sig))
         tables = semantics._Tables(sig, [f])
         assert tables.large == large
         assert (len(tables.domain) * tables.width > semantics._DROP_BITS) == large
@@ -382,15 +393,6 @@ def test_tables_on_either_side_of_the_drop_threshold_agree_with_kripke(agents, v
             pointed = kripke.PointedKripkeModel(sig, alloc, val)
             assert bool(rows[alloc.index()] >> val.bits & 1) == kripke.evaluate(pointed, f)
             assert evaluate(DirectModel(sig, alloc, val), f) == kripke.evaluate(pointed, f)
-
-
-def kripke_depth(pointed, body) -> int:
-    """Rounds of the body's image, iterated from the pointed model, that find new models."""
-    reached, frontier, rounds = {pointed}, {pointed}, 0
-    while frontier := set().union(*(kripke._pointed_image(x, body) for x in frontier)) - reached:
-        reached |= frontier
-        rounds += 1
-    return rounds
 
 
 def test_product_positions_no_run_reaches_are_never_reported():
