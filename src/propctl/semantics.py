@@ -26,7 +26,11 @@ variables they name, the agents they name, and one agent standing for all
 the others), every agent can own every variable, and a position is the
 canonical index of an allocation.  Truth depends on nothing else, so an
 answer over the sub-signature is exact, and a row is lifted to the
-signature asked for only where a caller reads rows over it.
+signature asked for only where a caller reads rows over it.  That layout
+(the domain, the row format, and a small table's atom and ownership
+masks) depends on the sub-signature alone, so it is made once per cut
+signature and kept with the cached reduction; a table at a model makes
+its own, for the query.
 """
 
 from __future__ import annotations
@@ -92,6 +96,31 @@ def _support(nodes: list, sig: Signature) -> dict[int, int]:
     return support
 
 
+class _Layout:
+    """The domain and row format of tables over ``sig`` where variable ``j``
+    can be owned by the agents ``owners[j]`` (indices) and a row has a bit
+    per valuation of the ``free`` variables (indices, ascending), with the
+    atom and ownership masks of the small tables that keep them.
+    """
+
+    def __init__(self, sig: Signature, owners: list, free) -> None:
+        # per variable, each owner's rank among them by name and its digit's weight
+        self.sig, self.owners, self.stride, size = sig, owners, [], 1
+        for agents_of in owners:
+            self.stride.append(size)
+            size *= len(agents_of)
+        self.rank = [{sig.agents[a]: r for r, a in enumerate(agents_of)} for agents_of in owners]
+        rows, width = [], 1  # rows[i]: the row bits where free variable i is true
+        for _ in free:  # double the row: copy each mask up, add the new variable's
+            rows = [m | m << width for m in rows] + [((1 << width) - 1) << width]
+            width <<= 1
+        self.domain, self.width, self.full = range(size), width, (1 << size * width) - 1
+        # per free variable: its distance within a row, and the row bits where it is true
+        self.free = {j: (1 << i, m) for i, (j, m) in enumerate(zip(free, rows))}
+        self.large = size * width > _DROP_BITS
+        self.masks: dict = {}  # atom tables by variable, ownership masks by (agents, variable)
+
+
 class _Reduction:
     """A signature ``sig`` cut to the part some formulas can tell apart.
 
@@ -114,6 +143,8 @@ class _Reduction:
         self.agent = [sig.agent_index[a] for a in self.sub.agents]  # sub agent -> sig agent
         self.var = [sig.var_index[p] for p in self.sub.vars]  # sub variable -> sig variable
         self.rest = self.sub.agent_index[unnamed[0]] if unnamed else None  # the class
+        m, k = len(self.sub.agents), len(self.sub.vars)  # every agent can own every variable
+        self.layout = _Layout(self.sub, [range(m)] * k, range(k))  # and every variable is free
 
     def owner(self) -> list[int]:
         """Per agent of ``sig``, the agent of ``sub`` standing for it."""
@@ -164,7 +195,12 @@ class _Reduction:
 
 
 # `propctl axioms` asks about one signature thousands of times over a few name
-# sets, and remaking a cut reduction each time costs it about a tenth of its rate.
+# sets (16 in the 3,901 queries of the `axioms` workload), and remaking a cut
+# reduction each time costs it about a tenth of its rate.  A reduction also holds the
+# layout of the tables over it, with a small table's atom and ownership masks,
+# which depend on nothing else: remade per query, a pass took 1.47 times as
+# long on `axioms` and 1.38 on `decide` (in-process alternating rounds, 2
+# vCPUs, Python 3.11.7).
 _reduction = lru_cache(maxsize=256)(_Reduction)
 
 
@@ -173,24 +209,24 @@ class _Tables:
     signature, then, from one walk over them, the table of each formula node.
 
     Without a model, the tables are over the roots' ``reduction`` of the
-    signature: every agent of ``reduction.sub`` can own every variable, so
-    position ``a`` is ``Allocation.from_index(reduction.sub, a)``, and bit
-    ``b`` of a row stands for ``Valuation(reduction.sub, b)``.  At a model,
-    a variable's possible owners are the model's owner, at rank 0, and every
-    agent the roots' handovers can pass it on to, so position 0 is the
-    model's allocation.  Positions no run reaches are tabled too, but never
-    read from position 0.  A row then has a bit per valuation of the free
-    variables only: those an atom names and a diamond's coalition can own.
-    Every other atom keeps the model's value; ``point`` is the model's bit.
+    signature, in the layout it holds: every agent of ``reduction.sub`` can
+    own every variable, so position ``a`` is ``Allocation.from_index(
+    reduction.sub, a)``, and bit ``b`` of a row stands for
+    ``Valuation(reduction.sub, b)``.  At a model, the layout is made for the
+    query: a variable's possible owners are the model's owner, at rank 0,
+    and every agent the roots' handovers can pass it on to, so position 0
+    is the model's allocation.  Positions no run reaches are tabled too, but
+    never read from position 0.  A row then has a bit per valuation of the
+    free variables only: those an atom names and a diamond's coalition can
+    own.  Every other atom keeps the model's value; ``point`` is the model's
+    bit.
     """
 
     def __init__(self, sig: Signature, roots: list, model: DirectModel | None = None):
         nodes, props, agents = ensure_fits(disj_all(roots), sig)
         if model is None:
             self.reduction = _reduction(sig, props, agents)
-            sig = self.reduction.sub
-            owners = [range(len(sig.agents))] * len(sig.vars)
-            free, self.val = range(len(sig.vars)), 0
+            layout, self.val = self.reduction.layout, 0
         else:
             gives = {(g.giver, sig.var_index[g.var], g.receiver) for g in nodes if type(g) is Give}
             reach = [{sig.agents[o]} for o in model.alloc.owners]
@@ -202,26 +238,15 @@ class _Tables:
             coalitions = {f.coalition for f in nodes if type(f) is Dia}
             free = [j for j in sorted({sig.var_index[f.name] for f in nodes if type(f) is Atom})
                     if any(c.intersection(reach[j]) for c in coalitions)]
-            self.val = model.val.bits
-        # per variable, its possible owners (agent indices), each owner's
-        # rank among them by name, and the weight of its digit in a position
-        self.sig, self.owners, self.stride, size = sig, owners, [], 1
-        for agents_of in owners:
-            self.stride.append(size)
-            size *= len(agents_of)
-        self.rank = [{sig.agents[a]: r for r, a in enumerate(agents_of)} for agents_of in owners]
-        masks, width = [], 1  # masks[i]: the row bits where free variable i is true
-        for _ in free:  # double the row: copy each mask up, add the new variable's
-            masks = [m | m << width for m in masks] + [((1 << width) - 1) << width]
-            width <<= 1
-        self.domain, self.width, self.full = range(size), width, (1 << size * width) - 1
-        # per free variable: its distance within a row, and the row bits where it is true
-        self.free = {j: (1 << i, m) for i, (j, m) in enumerate(zip(free, masks))}
-        self.point = sum(1 << i for i, j in enumerate(free) if self.val >> j & 1)
-        self._masks: dict = {}  # atom tables by variable, ownership masks by (agents, variable)
-        self.large = size * width > _DROP_BITS
+            layout, self.val = _Layout(sig, owners, free), model.val.bits
+        self.sig, self.owners, self.stride, self.rank = (layout.sig, layout.owners,
+                                                         layout.stride, layout.rank)
+        self.domain, self.width, self.full, self.free, self.large = (
+            layout.domain, layout.width, layout.full, layout.free, layout.large)
+        self.masks = {} if self.large else layout.masks  # large: kept for the query alone
+        self.point = sum(1 << i for i, j in enumerate(self.free) if self.val >> j & 1)
         spent = _spent(nodes, roots) if self.large else {}
-        self.support = _support(nodes, sig) if self.large else {}
+        self.support = _support(nodes, self.sig) if self.large else {}
         self.table: dict[int, int] = {}
         for pos, node in enumerate(nodes):
             if isinstance(node, Formula):
@@ -256,19 +281,20 @@ class _Tables:
         return _tile(row, self.width, len(self.domain))
 
     def atom(self, j: int) -> int:
-        """The table of free variable ``j``: kept for the query if small,
+        """The table of free variable ``j``: kept with the layout if small,
         remade where read if large, since it is read only a few times."""
-        if (mask := self._masks.get(j)) is None:
+        if (mask := self.masks.get(j)) is None:
             mask = self.tiled(self.free[j][1])
             if not self.large:
-                self._masks[j] = mask
+                self.masks[j] = mask
         return mask
 
     def own(self, agents: frozenset[str], j: int, keep: bool = False) -> int:
         """The table whose rows are full where one of the agents owns
-        variable ``j``, and empty elsewhere: kept for the query if small,
-        or if ``keep`` asks (a handover's, which a star reads every round)."""
-        if (mask := self._masks.get((agents, j))) is None:
+        variable ``j``, and empty elsewhere: kept with the layout if small,
+        and for the query if ``keep`` asks (a handover's, which a star reads
+        every round)."""
+        if (mask := self.masks.get((agents, j))) is None:
             rank = self.rank[j]
             ranks = [r for a, r in rank.items() if a in agents]
             if len(ranks) == len(rank):
@@ -281,7 +307,7 @@ class _Tables:
                 cycles = len(self.domain) // (len(rank) * self.stride[j])
                 mask = _tile(cycle, len(rank) * run, cycles)
             if keep or not self.large:
-                self._masks[agents, j] = mask
+                self.masks[agents, j] = mask
         return mask
 
     def pre(self, p: Program, table: int, forward: bool = False) -> int:

@@ -220,31 +220,53 @@ CHILDREN = {
 }
 
 
-def postorder(node) -> list:
-    """Every node object of a formula or program once, children first.
+_END = object()  # pushed between a node and its children: the node is next off the stack
+
+
+def _walk(node) -> tuple[list, frozenset[str], frozenset[str]]:
+    """Every node object of a formula or program once, children first, and
+    the variables and agents named anywhere in it, from one walk.
 
     Sugar shares subtrees (``<->`` uses each operand twice), so nodes are
     keyed on identity: a node object is listed once however many parents
-    it has.  The walk keeps its own stack, so depth costs no recursion.
+    it has.  A leaf is listed when first seen; a node with children when
+    the end marker pushed below them comes off the stack.  The walk keeps
+    its own stack, so depth costs no recursion.
     """
-    out = []
-    done: dict[int, bool] = {}  # visited node -> whether it is in ``out``
-    stack = [node]
+    out, seen, props, agents, stack = [], set(), set(), set(), [node]
+    pop, append, extend, add = stack.pop, out.append, stack.extend, seen.add
     while stack:
-        cur = stack.pop()
-        state = done.get(id(cur))
-        if state is None:
-            # first visit: come back to the node after its children
-            children = CHILDREN.get(type(cur))
-            if children is None:
-                raise TypeError(f"not a formula or program: {cur!r}")
-            done[id(cur)] = False
-            stack.append(cur)
-            stack.extend(children(cur))
-        elif not state:
-            done[id(cur)] = True
-            out.append(cur)
-    return out
+        cur = pop()
+        if cur is _END:
+            append(pop())
+            continue
+        key = id(cur)
+        if key in seen:
+            continue
+        add(key)
+        kind = type(cur)
+        try:
+            below = CHILDREN[kind](cur)
+        except KeyError:
+            raise TypeError(f"not a formula or program: {cur!r}") from None
+        if below:
+            if kind is Dia:
+                agents.update(cur.coalition)
+            extend((cur, _END, *below))
+        else:
+            append(cur)
+            if kind is Atom:
+                props.add(cur.name)
+            elif kind is Give:
+                agents.update((cur.giver, cur.receiver))
+                props.add(cur.var)
+    return out, frozenset(props), frozenset(agents)
+
+
+def postorder(node) -> list:
+    """Every node object of a formula or program once, children first (see
+    ``_walk``)."""
+    return _walk(node)[0]
 
 
 def operands(node) -> list:
@@ -260,37 +282,21 @@ def operands(node) -> list:
     return out
 
 
-def _names(nodes) -> tuple[frozenset[str], frozenset[str]]:
-    props: set[str] = set()
-    agents: set[str] = set()
-    for node in nodes:
-        kind = type(node)
-        if kind is Atom:
-            props.add(node.name)
-        elif kind is Dia:
-            agents.update(node.coalition)
-        elif kind is Give:
-            agents.add(node.giver)
-            agents.add(node.receiver)
-            props.add(node.var)
-    return frozenset(props), frozenset(agents)
-
-
 def signature_of(node) -> tuple[frozenset[str], frozenset[str]]:
     """All variables and agents named anywhere in a formula or program,
     including inside programs and tests."""
-    return _names(postorder(node))
+    return _walk(node)[1:]
 
 
 def ensure_fits(node, sig: Signature) -> tuple[list, frozenset[str], frozenset[str]]:
     """Raise ``SignatureError`` if the node names anything outside the
     signature; otherwise return ``postorder(node)`` and the variables and
-    agents it names, so that a caller walking the node next needs no
-    second walk."""
-    nodes = postorder(node)
-    props, agents = _names(nodes)
+    agents it names, all from one ``_walk``, so that a caller walking the
+    node next needs no second walk."""
+    nodes, props, agents = _walk(node)
     parts = [f"{kind}(s) " + ", ".join(sorted(bad)) for kind, bad in
-             (("variable", props - set(sig.vars)), ("agent", agents - set(sig.agents))) if bad]
+             (("variable", props.difference(sig.var_index)),
+              ("agent", agents.difference(sig.agent_index))) if bad]
     if parts:
         raise SignatureError("outside the signature: " + "; ".join(parts))
     return nodes, props, agents

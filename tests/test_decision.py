@@ -133,8 +133,8 @@ def test_one_fit_check_per_query(monkeypatch):
         calls.append(node)
         return real(node)
 
-    real = syntax.postorder
-    monkeypatch.setattr(syntax, "postorder", counting)
+    real = syntax._walk  # what ensure_fits calls: one walk lists the nodes and names
+    monkeypatch.setattr(syntax, "_walk", counting)
     sig = Signature(("1", "2"), ("p", "q"))
     f = parse_formula("dia{1}(p) -> <give(1,p,2)*>dia{2}(p | q)")
     for query in (valid, satisfiable, counterexample, normal_form, grand_coalition_control):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 from propctl import kripke, semantics
+from propctl.control import grand_coalition_control
+from propctl.decision import satisfiable, valid
 from propctl.model import (
     Allocation,
     DirectModel,
@@ -14,6 +16,7 @@ from propctl.model import (
     Valuation,
     atomic_transfer,
 )
+from propctl.normalform import equivalent, normal_form
 from propctl.semantics import evaluate, in_relation, program_image, star_depth
 from propctl.syntax import (
     Atom,
@@ -393,6 +396,70 @@ def test_tables_on_either_side_of_the_drop_threshold_agree_with_kripke(agents, v
             pointed = kripke.PointedKripkeModel(sig, alloc, val)
             assert bool(rows[alloc.index()] >> val.bits & 1) == kripke.evaluate(pointed, f)
             assert evaluate(DirectModel(sig, alloc, val), f) == kripke.evaluate(pointed, f)
+
+
+def test_layouts_kept_with_the_reduction_answer_as_fresh_ones(monkeypatch):
+    # A model-free table's layout is made once per cached reduction, with a
+    # small table's atom and ownership masks; a large table keeps its masks
+    # for the query, and a table at a model makes its own layout.
+    rng = random.Random(15)
+    cases = []  # 2x2, 3x3 and one large table, interleaved
+    for _ in range(3):
+        for agents, variables in ((2, 2), (3, 3)):
+            sig = Signature(tuple(str(i + 1) for i in range(agents)),
+                            tuple(f"p{j}" for j in range(variables)))
+            cases.append((random_formula(rng, sig, 3), random_formula(rng, sig, 3), sig))
+    large = Signature(("1", "2", "3"), tuple(f"p{j}" for j in range(6)))
+    f, g = (conj(random_formula(rng, large, 2), naming_everything(large)) for _ in range(2))
+    f = DiaProg(Star(Give("1", "p0", "2")), f)  # its ownership mask is kept for the query
+    cases.insert(3, (f, g, large))
+    assert semantics._Tables(large, [f]).large
+
+    def answers(f, g, sig):
+        return (valid(f, sig), satisfiable(f, sig), normal_form(f, sig).rows,
+                equivalent(f, g, sig), grand_coalition_control(f, sig))
+
+    cold = []
+    for f, g, sig in cases:
+        semantics._reduction.cache_clear()
+        cold.append(answers(f, g, sig))
+    semantics._reduction.cache_clear()
+    kept = {}  # every reduction a query reads, by identity
+    real = semantics._reduction
+
+    def recording(*key):
+        out = real(*key)
+        kept[id(out)] = out
+        return out
+
+    monkeypatch.setattr(semantics, "_reduction", recording)
+
+    def entries():
+        return sum(len(r.layout.masks) for r in kept.values())
+
+    for _ in range(2):  # the first pass fills the layouts, the second reads them warm
+        for case, expected in zip(cases, cold):
+            before = entries()
+            assert answers(*case) == expected
+            if case[2] is large:
+                assert entries() == before
+    assert real.cache_info().hits and entries()
+    assert not any(r.layout.masks for r in kept.values() if r.layout.large)
+
+    def no_reduction(*key):
+        raise AssertionError("a query at a model read a reduction's layout")
+
+    monkeypatch.setattr(semantics, "_reduction", no_reduction)
+    before = entries()
+    for f, _, sig in cases:
+        alloc = Allocation.from_index(sig, rng.randrange(len(sig.agents) ** len(sig.vars)))
+        m = DirectModel(sig, alloc, Valuation(sig, rng.randrange(1 << len(sig.vars))))
+        pointed = kripke.pointed_of(m)
+        assert evaluate(m, f) == kripke.evaluate(pointed, f)
+        program = random_program(rng, sig, 2)
+        assert [kripke.pointed_of(r) for r in program_image(m, program)] == sorted(
+            kripke._pointed_image(pointed, program), key=lambda pm: pm.alloc.index())
+    assert entries() == before
 
 
 def test_product_positions_no_run_reaches_are_never_reported():

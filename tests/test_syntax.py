@@ -1,3 +1,4 @@
+import random
 import time
 
 import hypothesis.strategies as st
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from propctl import syntax
+from propctl.axioms import formula_pool
 from propctl.model import Signature, SignatureError
 from propctl.syntax import (
     Atom,
@@ -30,9 +32,12 @@ from propctl.syntax import (
     parse_formula,
     parse_model,
     parse_program,
+    postorder,
     render,
     signature_of,
 )
+
+from helpers import random_coalition, random_formula, random_program
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -337,6 +342,72 @@ def test_signature_of_walks_shared_nodes_once():
     # <-> sugar uses each operand twice
     chain = parse_formula(" <-> ".join(f"p{i}" for i in range(18)))
     assert signature_of(chain) == (frozenset(f"p{i}" for i in range(18)), frozenset())
+
+
+def two_pass_walk(node):
+    """The node walk as two passes, kept as the reference: each node comes
+    off the stack twice and is listed the second time, then a second loop
+    over the list collects the names."""
+    out, done, stack = [], {}, [node]  # done: visited node -> whether it is in ``out``
+    while stack:
+        cur = stack.pop()
+        state = done.get(id(cur))
+        if state is None:
+            children = syntax.CHILDREN.get(type(cur))
+            if children is None:
+                raise TypeError(f"not a formula or program: {cur!r}")
+            done[id(cur)] = False
+            stack.append(cur)
+            stack.extend(children(cur))
+        elif not state:
+            done[id(cur)] = True
+            out.append(cur)
+    props, agents = set(), set()
+    for n in out:
+        if type(n) is Atom:
+            props.add(n.name)
+        elif type(n) is Dia:
+            agents.update(n.coalition)
+        elif type(n) is Give:
+            agents.update((n.giver, n.receiver))
+            props.add(n.var)
+    return out, frozenset(props), frozenset(agents)
+
+
+def shared_nodes(rng, sig, steps):
+    """Random formulas and programs, then ``steps`` more, each built over
+    nodes drawn from those made so far, so subtrees are shared."""
+    formulas = [random_formula(rng, sig, 2) for _ in range(3)]
+    programs = [random_program(rng, sig, 2) for _ in range(3)]
+    for _ in range(steps):
+        f, g = rng.choice(formulas), rng.choice(formulas)
+        p, q = rng.choice(programs), rng.choice(programs)
+        formulas.append(rng.choice([Or(f, g), Not(f), Dia(random_coalition(rng, sig), f),
+                                    DiaProg(p, g)]))
+        programs.append(rng.choice([Seq(p, q), Choice(p, q), Star(p), Test(f)]))
+    return formulas + programs
+
+
+def test_one_pass_walk_lists_what_the_two_pass_walk_lists():
+    sig = Signature(("1", "2"), ("p", "q"))
+    rng = random.Random(15)
+    nodes = [*formula_pool(sig, 10**6, depth=3), *shared_nodes(rng, sig, 60),
+             parse_formula(" <-> ".join(f"p{i}" for i in range(18))),
+             parse_formula(" | ".join(f"p{i}" for i in range(2000)))]  # no recursion
+    for node in nodes:  # ids, not nodes, in the asserts: a chain's repr is exponential
+        listed, props, agents = two_pass_walk(node)
+        walked, walked_props, walked_agents = syntax._walk(node)
+        ids, named = [id(n) for n in listed], signature_of(node)
+        assert [id(n) for n in walked] == ids
+        assert [id(n) for n in postorder(node)] == ids
+        assert (walked_props, walked_agents) == (props, agents) == named
+
+
+def test_walk_refuses_what_is_not_a_node():
+    with pytest.raises(TypeError):
+        postorder(42)
+    with pytest.raises(TypeError):
+        signature_of(Not(3))
 
 
 # --- rendering -------------------------------------------------------------
