@@ -45,8 +45,8 @@ def _reach(sig: Signature, alloc: Allocation, val: Valuation, agent: str,
     For each formula, some allocation reachable by giving away must have
     the current valuation in its row of ``dia{agent} formula``: the agent
     can then steer to a satisfying valuation with the variables it still
-    holds.  The tables come from one walk over all the formulas, over their
-    sub-signature, where the agent is named.  The allocations reachable by
+    holds.  The tables come from one walk over all the formulas, in their
+    cut layout, where the agent is named.  The allocations reachable by
     giving away are those where every variable the agent does not own keeps
     its owner, so one packed query per formula answers: its table, cut to
     those rows and to the current valuation's column, is not empty.
@@ -55,12 +55,12 @@ def _reach(sig: Signature, alloc: Allocation, val: Valuation, agent: str,
     if val.sig != sig:
         raise SignatureError("valuation built over a different signature")
     tables, packed = semantics._tables([Dia(frozenset({agent}), f) for f in formulas], sig)
-    here, bits = tables.reduction.project(alloc, val.bits)
-    me = here.sig.agent_index[agent]
+    layout, me = tables.layout, sig.agent_index[agent]
+    position, bits = layout.project(alloc, val.bits)
     reachable = tables.tiled(1 << bits)  # the valuation's column, cut to the reachable rows
-    for j, owner in enumerate(here.owners):
+    for j, owner in enumerate(layout.allocation(position).owners):
         if owner != me:
-            reachable &= tables.own(frozenset({here.sig.agents[owner]}), j)
+            reachable &= tables.own(frozenset({sig.agents[owner]}), j)
     return all(table & reachable for table in packed)
 
 

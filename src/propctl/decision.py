@@ -7,10 +7,10 @@ of the negation and is always relative to a signature; results name the
 signature they were decided over.
 
 Over a larger signature the same argument cuts the search: the tables
-range over the formula's own sub-signature (see ``semantics``), and the
-first witness of the larger signature, in its enumeration order, is read
-off the first satisfiable allocation of the sub-signature, with the
-unnamed variables false and owned by agent index 0.
+range over the part of the signature the formula names (see
+``semantics._cut``), and the first witness in enumeration order is read off
+the first satisfiable position, with the unnamed variables false and owned
+by agent index 0.
 """
 
 from __future__ import annotations
@@ -27,28 +27,32 @@ def _fresh(base: str, taken) -> str:
     return name
 
 
+def _default(props: frozenset[str], agents: frozenset[str]) -> Signature:
+    """The default signature of a formula naming these variables and agents."""
+    return Signature(tuple(agents) + (_fresh("_env", agents),), tuple(props) or ("_aux",))
+
+
 def default_signature(formula: Formula) -> Signature:
     """Smallest search signature for the formula: its own variables and
     agents, one spare agent to absorb foreign ownership, and a spare
     variable only when the formula mentions none (signatures must be
     non-empty)."""
-    props, agents = signature_of(formula)
-    return Signature(tuple(agents) + (_fresh("_env", agents),), tuple(props) or ("_aux",))
+    return _default(*signature_of(formula))
 
 
 def satisfiable(formula: Formula, sig: Signature | None = None) -> DirectModel | None:
     """First witness model in enumeration order, or ``None``.
 
-    Searches the given signature, or the formula's default signature.
+    Searches the given signature, or the formula's default signature, made
+    from the names of the one walk the tables take.
     """
-    if sig is None:
-        sig = default_signature(formula)
-    tables, (table,) = semantics._tables([formula], sig)
+    tables, (table,) = semantics._tables([formula], _default if sig is None else sig)
     if not table:
         return None
     position, bits = tables.first(table)  # the first satisfying valuation of the first row
-    cut = tables.reduction
-    return DirectModel(sig, cut.allocation(position), Valuation(sig, cut.bits(bits)))
+    layout = tables.layout
+    return DirectModel(layout.sig, layout.allocation(position),
+                       Valuation(layout.sig, layout.bits(bits)))
 
 
 def valid(formula: Formula, sig: Signature | None = None) -> bool:

@@ -43,6 +43,9 @@ def _position(index: Mapping[str, int], name: str, kind: str) -> int:
         raise SignatureError(f"unknown {kind} {name!r}") from None
 
 
+# The repr of a 60-fold ``Or(f, f)`` would have 2^60 copies of ``f``.
+_REPR_LIMIT = 1 << 16
+
 _set = object.__setattr__  # sets a slot past the frozen ``Value.__setattr__``
 
 
@@ -72,12 +75,14 @@ class Value:
     constructor, unless the class writes an ``__init__`` that checks or
     converts its arguments and then calls it.  Fields cannot be reassigned.
 
-    The repr is ``Kind(field=value, ...)``, and ``==`` and ``hash`` are over
-    the kind and the field values.  A value caches its hash, computed from
-    the cached hashes of the values in its fields.  ``==`` compares each pair
-    of values once, and stops at a pair of different kinds or of different
-    cached hashes.  Neither recurses, and both take time linear in the
-    number of value objects however much a formula shares its subtrees.
+    The repr is ``Kind(field=value, ...)``, cut off after ``_REPR_LIMIT``
+    characters, since it writes a shared subtree once per path.  ``==`` and
+    ``hash`` are over the kind and the field values.  A value caches its
+    hash, computed from the cached hashes of the values in its fields.
+    ``==`` compares each pair of values once, and stops at a pair of
+    different kinds or of different cached hashes.  None of the three
+    recurses, and ``==`` and ``hash`` take time linear in the number of
+    value objects however much a formula shares its subtrees.
     """
 
     __slots__ = ("_hash",)
@@ -96,8 +101,18 @@ class Value:
             cls.__init__ = cls._assign
 
     def __repr__(self) -> str:
-        args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
-        return f"{type(self).__qualname__}({args})"
+        out, size, stack = [], 0, [self]
+        while stack and size <= _REPR_LIMIT:  # a value becomes its pieces of text, on the stack
+            item = stack.pop()
+            if isinstance(item, Value):
+                parts = [f"{type(item).__qualname__}("]
+                for i, (f, v) in enumerate(zip(item._fields, item._values())):
+                    parts += [f"{', ' if i else ''}{f}=", v if isinstance(v, Value) else repr(v)]
+                stack += reversed([*parts, ")"])
+            else:
+                out.append(item)
+                size += len(item)
+        return "".join(out)[:_REPR_LIMIT] + "..." if stack else "".join(out)
 
     def __hash__(self) -> int:
         if self._hash is not None:

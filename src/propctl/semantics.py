@@ -17,20 +17,17 @@ composes, choice is a disjunction, and iteration is the least fixpoint of
 pre-image moves whole rows, and a model's program image is the same
 operator read forwards, from a table holding only the model's row.
 
-The domain is a product over the variables of the agents that can own
-each, and a position is a mixed-radix number: variable ``j``'s digit, the
-rank of its owner among those agents, weighs the product of the earlier
-variables' counts.  A handover then moves a position by a fixed distance.
-Without a model, the tables range over the formulas' own sub-signature (the
-variables they name, the agents they name, and one agent standing for all
-the others), every agent can own every variable, and a position is the
-canonical index of an allocation.  Truth depends on nothing else, so an
-answer over the sub-signature is exact, and a row is lifted to the
-signature asked for only where a caller reads rows over it.  That layout
-(the domain, the row format, and a small table's atom and ownership
-masks) depends on the sub-signature alone, so it is made once per cut
-signature and kept with the cached reduction; a table at a model makes
-its own, for the query.
+One ``_Layout`` gives the domain and row format of tables over the
+signature asked for.  The domain is a product over the variables of the
+agents that can own each, and a position is a mixed-radix number: variable
+``j``'s digit, the rank of its owner among those agents, weighs the product
+of the earlier variables' counts.  A handover then moves a position by a
+fixed distance.  A row has a bit per valuation of the free variables, and
+every other variable keeps one value.  Without a model, the layout is the
+formulas' cached ``_cut``, where truth depends on nothing else, so an
+answer in it is exact; rows are lifted to the whole signature only where a
+caller reads them.  A table at a model makes its own layout, for the
+query.  No table of more than ``_MAX_BITS`` bits is built.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import or_
 
+from . import syntax
 from .model import Allocation, DirectModel, Signature, SignatureError
 from .syntax import (CHILDREN, Atom, Choice, Dia, Formula, Give, Not, Or, Program, Seq, Star,
                      Test, Top, disj_all, ensure_fits, operands)
@@ -96,19 +94,39 @@ def _support(nodes: list, sig: Signature) -> dict[int, int]:
     return support
 
 
+# A table or a lifted list of rows of more bits than this is refused before
+# any of it is built.  It admits, with room, the largest table and lift the
+# tests build (2^16 and 2^20 bits) and a 3x10 table at a model (3^10 rows of
+# 1,024 bits); at 3x12, a body naming every variable under a diamond is over it.
+_MAX_BITS = 1 << 28
+
+
+def _fit(positions: int, width: int) -> None:
+    """Refuse ``positions`` rows of ``width`` bits if they are too many."""
+    if positions * width > _MAX_BITS:
+        raise SignatureError(f"too large to tabulate: {positions} rows of {width} bits "
+                             f"are over the limit of {_MAX_BITS} bits")
+
+
 class _Layout:
-    """The domain and row format of tables over ``sig`` where variable ``j``
-    can be owned by the agents ``owners[j]`` (indices) and a row has a bit
-    per valuation of the ``free`` variables (indices, ascending), with the
-    atom and ownership masks of the small tables that keep them.
+    """The domain and row format of tables over ``sig``.
+
+    Variable ``j`` can be owned by the agents ``owners[j]`` (indices), a row
+    has a bit per valuation of the ``free`` variables (indices, ascending),
+    and every other variable keeps its bit of ``val``.  A small table's atom
+    and ownership masks are kept with the layout.  A cut layout (``_cut``)
+    also has ``digit``: per agent of ``sig``, the digit of the agent standing
+    for it, which ``project`` and ``lift`` read.
     """
 
-    def __init__(self, sig: Signature, owners: list, free) -> None:
+    def __init__(self, sig: Signature, owners: list, free, val: int = 0, digit=None) -> None:
         # per variable, each owner's rank among them by name and its digit's weight
-        self.sig, self.owners, self.stride, size = sig, owners, [], 1
+        self.sig, self.owners, self.val, self.digit, self.stride, size = (
+            sig, owners, val, digit, [], 1)
         for agents_of in owners:
             self.stride.append(size)
             size *= len(agents_of)
+        _fit(size, 1 << len(free))
         self.rank = [{sig.agents[a]: r for r, a in enumerate(agents_of)} for agents_of in owners]
         rows, width = [], 1  # rows[i]: the row bits where free variable i is true
         for _ in free:  # double the row: copy each mask up, add the new variable's
@@ -120,113 +138,100 @@ class _Layout:
         self.large = size * width > _DROP_BITS
         self.masks: dict = {}  # atom tables by variable, ownership masks by (agents, variable)
 
-
-class _Reduction:
-    """A signature ``sig`` cut to the part some formulas can tell apart.
-
-    ``sub`` keeps the variables the formulas name, in signature order (the
-    first variable when they name none), the agents they name, and the
-    lowest-indexed agent they do not name, if any, as the class standing for
-    all of those.  An allocation and a valuation of ``sig`` project to ``sub``
-    by dropping the unnamed variables and giving the class whatever an
-    unnamed agent owns.  The formulas hold at a pair exactly when they hold
-    at its projection: no atom reads an unnamed variable, no coalition or
-    handover names an unnamed agent, and a handover commutes with the
-    projection.  When nothing is cut, ``sub`` is ``sig`` itself.
-    """
-
-    def __init__(self, sig: Signature, props: frozenset[str], agents: frozenset[str]):
-        unnamed = [a for a in sig.agents if a not in agents]
-        kept = tuple(p for p in sig.vars if p in props) or sig.vars[:1]
-        cut = len(kept) < len(sig.vars) or len(unnamed) > 1
-        self.sig, self.sub = sig, Signature((*agents, *unnamed[:1]), kept) if cut else sig
-        self.agent = [sig.agent_index[a] for a in self.sub.agents]  # sub agent -> sig agent
-        self.var = [sig.var_index[p] for p in self.sub.vars]  # sub variable -> sig variable
-        self.rest = self.sub.agent_index[unnamed[0]] if unnamed else None  # the class
-        m, k = len(self.sub.agents), len(self.sub.vars)  # every agent can own every variable
-        self.layout = _Layout(self.sub, [range(m)] * k, range(k))  # and every variable is free
-
-    def owner(self) -> list[int]:
-        """Per agent of ``sig``, the agent of ``sub`` standing for it."""
-        place = {i: k for k, i in enumerate(self.agent)}
-        return [place.get(i, self.rest) for i in range(len(self.sig.agents))]
-
-    def allocation(self, s: int) -> Allocation:
-        """The first allocation of ``sig``, in canonical order, projecting to
-        allocation ``s`` of ``sub``: the unnamed variables go to agent index
-        0.  The map is increasing, so the first allocation of ``sub`` with a
-        property gives the first allocation of ``sig`` with it."""
-        m, n = len(self.sub.agents), len(self.sig.agents)
-        return Allocation.from_index(self.sig, sum(self.agent[s // m**j % m] * n**i
-                                                   for j, i in enumerate(self.var)))
+    def allocation(self, a: int) -> Allocation:
+        """The first allocation, in canonical order, at domain position ``a``.
+        In a cut layout it is increasing in ``a``, as ``bits`` is in ``u``, so
+        the first position and row bit with a property give the first model
+        with it."""
+        return Allocation(self.sig, tuple(agents_of[a // stride % len(agents_of)]
+                                          for agents_of, stride in zip(self.owners, self.stride)))
 
     def bits(self, u: int) -> int:
-        """The first valuation of ``sig`` projecting to valuation ``u`` of
-        ``sub``: the unnamed variables false."""
-        return sum(1 << i for j, i in enumerate(self.var) if u >> j & 1)
+        """The valuation at row bit ``u``: the free variables as ``u`` reads
+        them, every other as ``val`` does."""
+        kept = self.val & ~sum(1 << j for j in self.free)
+        return kept | sum(1 << j for j, (shift, _) in self.free.items() if u & shift)
 
-    def project(self, alloc: Allocation, bits: int) -> tuple[Allocation, int]:
-        """An allocation and a valuation of ``sig`` projected to ``sub``."""
-        owner = self.owner()
-        return (Allocation(self.sub, tuple(owner[alloc.owners[i]] for i in self.var)),
-                sum((bits >> i & 1) << j for j, i in enumerate(self.var)))
+    def project(self, alloc: Allocation, bits: int) -> tuple[int, int]:
+        """The position and row bit of an allocation and a valuation, in a
+        cut layout: the inverse of ``allocation`` and ``bits``."""
+        return (sum(self.digit[alloc.owners[j]] * self.stride[j] for j in self.free),
+                sum(shift for j, (shift, _) in self.free.items() if bits >> j & 1))
 
     def lift(self, rows: list[int]) -> list[int]:
-        """Rows over ``sub`` read over ``sig``: per allocation, the
-        valuations whose projections the row of its projection holds."""
-        if self.sub is self.sig:
+        """A cut layout's rows read over the whole signature: per
+        allocation, in canonical order, the valuations whose projections
+        the row at its projection holds."""
+        n, k = len(self.sig.agents), len(self.sig.vars)
+        _fit(n**k, 1 << k)
+        if len(self.domain) * self.width == n**k << k:  # nothing is cut
             return rows
-        # per allocation of ``sig``, in canonical order, the index of its projection
-        m, owner, index = len(self.sub.agents), self.owner(), [0]
-        place = {i: j for j, i in enumerate(self.var)}
-        for i in range(len(self.sig.vars)):  # variable i's digit, above those of 0 .. i-1
-            j = place.get(i)
-            digits = [0] * len(owner) if j is None else [o * m**j for o in owner]
+        index = [0]  # per allocation, in canonical order, its position
+        for j, stride in enumerate(self.stride):  # variable j's digit, above those of 0 .. j-1
+            digits = [d * stride for d in self.digit] if j in self.free else [0] * n
             index = [x + d for d in digits for x in index]
-        spread = 1  # bit ``w`` for each valuation ``w`` of the unnamed variables alone
-        for i in set(range(len(self.sig.vars))) - set(self.var):
-            spread |= spread << (1 << i)
+        spread = 1  # bit ``w`` for each valuation ``w`` of the variables not free alone
+        for j in set(range(k)) - set(self.free):
+            spread |= spread << (1 << j)
         lifted: dict[int, int] = {}
         for row in rows:
-            if row not in lifted:  # each set bit's valuation times every unnamed one
+            if row not in lifted:  # each set bit's valuation times every other one
                 lifted[row] = sum(1 << self.bits(u) for u in range(row.bit_length())
                                   if row >> u & 1) * spread
-        return [lifted[rows[s]] for s in index]
+        return [lifted[rows[a]] for a in index]
 
 
 # `propctl axioms` asks about one signature thousands of times over a few name
 # sets (16 in the 3,901 queries of the `axioms` workload), and remaking a cut
-# reduction each time costs it about a tenth of its rate.  A reduction also holds the
-# layout of the tables over it, with a small table's atom and ownership masks,
-# which depend on nothing else: remade per query, a pass took 1.47 times as
-# long on `axioms` and 1.38 on `decide` (in-process alternating rounds, 2
-# vCPUs, Python 3.11.7).
-_reduction = lru_cache(maxsize=256)(_Reduction)
+# layout, with a small table's atom and ownership masks, per query took 1.47
+# times as long a pass on `axioms` and 1.38 on `decide` (in-process
+# alternating rounds, 2 vCPUs, Python 3.11.7).
+@lru_cache(maxsize=256)
+def _cut(sig: Signature, props: frozenset[str], agents: frozenset[str]) -> _Layout:
+    """The layout of model-free tables over ``sig`` of roots naming the
+    variables ``props`` and the agents ``agents``.
+
+    A named variable can be owned by the named agents and by the
+    lowest-indexed unnamed agent, if any, standing for all of those; an
+    unnamed variable has the single owner index 0 and is false.  An
+    allocation and a valuation project to a position and a row bit by
+    dropping the unnamed variables and giving the stand-in whatever an
+    unnamed agent owns.  The roots hold at a pair exactly when they hold at
+    its projection: no atom reads an unnamed variable, no coalition or
+    handover names an unnamed agent, and a handover commutes with the
+    projection.
+    """
+    rest = next((i for i, a in enumerate(sig.agents) if a not in agents), None)
+    kept = [i for i, a in enumerate(sig.agents) if a in agents or i == rest]
+    digit = [kept.index(i if a in agents else rest) for i, a in enumerate(sig.agents)]
+    return _Layout(sig, [kept if p in props else [0] for p in sig.vars],
+                   [j for j, p in enumerate(sig.vars) if p in props], digit=digit)
 
 
 class _Tables:
     """The fit check of the roots (formulas, or one program) over the
     signature, then, from one walk over them, the table of each formula node.
 
-    Without a model, the tables are over the roots' ``reduction`` of the
-    signature, in the layout it holds: every agent of ``reduction.sub`` can
-    own every variable, so position ``a`` is ``Allocation.from_index(
-    reduction.sub, a)``, and bit ``b`` of a row stands for
-    ``Valuation(reduction.sub, b)``.  At a model, the layout is made for the
-    query: a variable's possible owners are the model's owner, at rank 0,
-    and every agent the roots' handovers can pass it on to, so position 0
-    is the model's allocation.  Positions no run reaches are tabled too, but
-    never read from position 0.  A row then has a bit per valuation of the
-    free variables only: those an atom names and a diamond's coalition can
-    own.  Every other atom keeps the model's value; ``point`` is the model's
-    bit.
+    Without a model, the tables are in the roots' ``_cut`` layout of the
+    signature.  ``sig`` may also be a default-signature rule, which makes
+    the signature from the names the roots use, so it fits them.  At a
+    model, the layout is made for the query: a variable's possible owners
+    are the model's owner, at rank 0, and every agent the roots' handovers
+    can pass it on to, so position 0 is the model's allocation.  Positions
+    no run reaches are tabled too, but never read from position 0.  A row
+    then has a bit per valuation of the free variables only: those an atom
+    names and a diamond's coalition can own.  Every other atom keeps the
+    model's value; ``point`` is the model's bit.
     """
 
-    def __init__(self, sig: Signature, roots: list, model: DirectModel | None = None):
-        nodes, props, agents = ensure_fits(disj_all(roots), sig)
+    def __init__(self, sig, roots: list, model: DirectModel | None = None):
+        if isinstance(sig, Signature):
+            nodes, props, agents = ensure_fits(disj_all(roots), sig)
+        else:
+            nodes, props, agents = syntax._walk(disj_all(roots))
+            sig = sig(props, agents)
         if model is None:
-            self.reduction = _reduction(sig, props, agents)
-            layout, self.val = self.reduction.layout, 0
+            layout = _cut(sig, props, agents)
         else:
             gives = {(g.giver, sig.var_index[g.var], g.receiver) for g in nodes if type(g) is Give}
             reach = [{sig.agents[o]} for o in model.alloc.owners]
@@ -238,9 +243,9 @@ class _Tables:
             coalitions = {f.coalition for f in nodes if type(f) is Dia}
             free = [j for j in sorted({sig.var_index[f.name] for f in nodes if type(f) is Atom})
                     if any(c.intersection(reach[j]) for c in coalitions)]
-            layout, self.val = _Layout(sig, owners, free), model.val.bits
-        self.sig, self.owners, self.stride, self.rank = (layout.sig, layout.owners,
-                                                         layout.stride, layout.rank)
+            layout = _Layout(sig, owners, free, model.val.bits)
+        self.layout, self.sig, self.val, self.stride, self.rank = (
+            layout, sig, layout.val, layout.stride, layout.rank)
         self.domain, self.width, self.full, self.free, self.large = (
             layout.domain, layout.width, layout.full, layout.free, layout.large)
         self.masks = {} if self.large else layout.masks  # large: kept for the query alone
@@ -342,11 +347,6 @@ class _Tables:
             x = step
         return x
 
-    def allocation(self, a: int) -> Allocation:
-        """The allocation at domain position ``a``."""
-        return Allocation(self.sig, tuple(agents_of[a // stride % len(agents_of)]
-                                          for agents_of, stride in zip(self.owners, self.stride)))
-
     def rows(self, t: int) -> list[int]:
         """The table's rows, position by position."""
         width = self.width
@@ -385,9 +385,9 @@ def program_image(model: DirectModel, program: Program) -> list[DirectModel]:
     """All models one run of the program can reach, in canonical order."""
     tables = _Tables(model.sig, [program], model)
     reached = tables.rows(tables.pre(program, 1 << tables.point, forward=True))
-    return [DirectModel(model.sig, alloc, model.val)
-            for alloc in sorted((tables.allocation(a) for a, row in enumerate(reached) if row),
-                                key=Allocation.index)]
+    allocs = sorted((tables.layout.allocation(a) for a, row in enumerate(reached) if row),
+                    key=Allocation.index)
+    return [DirectModel(model.sig, alloc, model.val) for alloc in allocs]
 
 
 def in_relation(start: DirectModel, end: DirectModel, program: Program) -> bool:
@@ -415,17 +415,13 @@ def truth_rows(formula: Formula, sig: Signature) -> list[int]:
     """Per allocation, in canonical order, the bitmask of the valuations
     satisfying the formula (bit ``b`` for ``Valuation(sig, b)``), all
     computed before the list is returned."""
-    return truth_rows_each([formula], sig)[0]
+    tables, (table,) = _tables([formula], sig)
+    return tables.layout.lift(tables.rows(table))
 
 
-def truth_rows_each(formulas: list[Formula], sig: Signature) -> list[list[int]]:
-    """``truth_rows`` of each formula, from one walk over all of them."""
-    tables, packed = _tables(formulas, sig)
-    return [tables.reduction.lift(tables.rows(t)) for t in packed]
-
-
-def _tables(formulas: list[Formula], sig: Signature) -> tuple[_Tables, list[int]]:
-    """The formulas' tables over their ``reduction`` of the signature, and
-    each formula's table, from one walk over all of them."""
+def _tables(formulas: list[Formula], sig) -> tuple[_Tables, list[int]]:
+    """The formulas' tables in their ``_cut`` layout of the signature (or of
+    the one a default-signature rule makes), and each formula's table, from
+    one walk over all of them."""
     tables = _Tables(sig, formulas)
     return tables, [tables.table[id(f)] for f in formulas]

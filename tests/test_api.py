@@ -97,7 +97,7 @@ API = {
         valuation_description
     """,
     "semantics": """
-        evaluate in_relation program_image star_depth truth_rows truth_rows_each
+        evaluate in_relation program_image star_depth truth_rows
     """,
     "syntax": """
         Atom Atom.name CHILDREN Choice Choice.left Choice.right Dia Dia.body

@@ -329,6 +329,21 @@ def test_signature_error_exit_three(model_file, capsys):
     assert "signature error" in err
 
 
+def test_too_large_to_tabulate_exit_three(model_file, monkeypatch, capsys):
+    # the limit lowered so that these small signatures are over it
+    monkeypatch.setattr(semantics, "_MAX_BITS", 1 << 4)
+    semantics._cut.cache_clear()
+    five = ("--agents", "1,2", "--vars", "p0,p1,p2,p3,p4")  # 32 allocations of 32 valuations
+    at_model = ("check", "--model", model_file, "--formula", "<giveall(1)*>dia{1,2}(p & q & r)")
+    whole = ("valid", "dia{1,2}(p0 & p1 & p2 & p3 & p4)", *five)
+    for argv in (("nf", "p0", *five), whole, at_model):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("signature error: too large to tabulate") and err.count("\n") == 1
+    assert run_cli(capsys, "valid", "p0 | ~p0", *five)[0] == 0  # its cut is small
+    semantics._cut.cache_clear()
+
+
 def test_model_file_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("agents: 1\nvars: p\nowns 1: p\nowns 1: p\ntrue:\n")

@@ -126,7 +126,8 @@ def test_witness_is_deterministic_first_in_enumeration():
 
 
 def test_one_fit_check_per_query(monkeypatch):
-    # the formula walk (fit check and tables) runs once per query, not once per model
+    # the formula walk (fit check, or default signature, and tables) runs once
+    # per query, not once per model
     calls = []
 
     def counting(node):
@@ -144,6 +145,9 @@ def test_one_fit_check_per_query(monkeypatch):
     m = next(enumerate_models(sig))
     program = parse_program("give(1,p,2)* ; ((p)? + give(1,q,2))", sig)
     for name, query in [
+        ("valid without a signature", lambda: valid(f)),
+        ("satisfiable without a signature", lambda: satisfiable(f)),
+        ("counterexample without a signature", lambda: counterexample(f)),
         ("equivalent", lambda: equivalent(f, Not(Not(f)), sig)),
         ("characterize_second_order",
          lambda: characterize_second_order(sig, m.alloc, m.val, "1", f)),

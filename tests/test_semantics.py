@@ -399,7 +399,7 @@ def test_tables_on_either_side_of_the_drop_threshold_agree_with_kripke(agents, v
 
 
 def test_layouts_kept_with_the_reduction_answer_as_fresh_ones(monkeypatch):
-    # A model-free table's layout is made once per cached reduction, with a
+    # A model-free table's layout is made once per cached cut, with a
     # small table's atom and ownership masks; a large table keeps its masks
     # for the query, and a table at a model makes its own layout.
     rng = random.Random(15)
@@ -421,21 +421,21 @@ def test_layouts_kept_with_the_reduction_answer_as_fresh_ones(monkeypatch):
 
     cold = []
     for f, g, sig in cases:
-        semantics._reduction.cache_clear()
+        semantics._cut.cache_clear()
         cold.append(answers(f, g, sig))
-    semantics._reduction.cache_clear()
-    kept = {}  # every reduction a query reads, by identity
-    real = semantics._reduction
+    semantics._cut.cache_clear()
+    kept = {}  # every cut layout a query reads, by identity
+    real = semantics._cut
 
     def recording(*key):
         out = real(*key)
         kept[id(out)] = out
         return out
 
-    monkeypatch.setattr(semantics, "_reduction", recording)
+    monkeypatch.setattr(semantics, "_cut", recording)
 
     def entries():
-        return sum(len(r.layout.masks) for r in kept.values())
+        return sum(len(layout.masks) for layout in kept.values())
 
     for _ in range(2):  # the first pass fills the layouts, the second reads them warm
         for case, expected in zip(cases, cold):
@@ -444,12 +444,12 @@ def test_layouts_kept_with_the_reduction_answer_as_fresh_ones(monkeypatch):
             if case[2] is large:
                 assert entries() == before
     assert real.cache_info().hits and entries()
-    assert not any(r.layout.masks for r in kept.values() if r.layout.large)
+    assert not any(layout.masks for layout in kept.values() if layout.large)
 
-    def no_reduction(*key):
-        raise AssertionError("a query at a model read a reduction's layout")
+    def no_cut(*key):
+        raise AssertionError("a query at a model read a cut layout")
 
-    monkeypatch.setattr(semantics, "_reduction", no_reduction)
+    monkeypatch.setattr(semantics, "_cut", no_cut)
     before = entries()
     for f, _, sig in cases:
         alloc = Allocation.from_index(sig, rng.randrange(len(sig.agents) ** len(sig.vars)))
@@ -460,6 +460,35 @@ def test_layouts_kept_with_the_reduction_answer_as_fresh_ones(monkeypatch):
         assert [kripke.pointed_of(r) for r in program_image(m, program)] == sorted(
             kripke._pointed_image(pointed, program), key=lambda pm: pm.alloc.index())
     assert entries() == before
+
+
+def test_tables_and_lifts_over_the_limit_are_refused(monkeypatch):
+    # each size at the limit is built, and one bit over it is refused
+    sig = Signature(("1", "2", "3"), ("p", "q", "r"))
+    f = parse_formula("<give(1,p,2) ; give(2,q,3)> dia{2}(p & ~q) | controls(3, r)", sig)
+    m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, 5))
+    for model in (None, m):
+        tables = semantics._Tables(sig, [f], model)
+        size = len(tables.domain) * tables.width
+        for limit, fits in ((size, True), (size - 1, False)):
+            monkeypatch.setattr(semantics, "_MAX_BITS", limit)
+            semantics._cut.cache_clear()
+            if fits:
+                semantics._Tables(sig, [f], model)
+            else:
+                with pytest.raises(SignatureError, match="too large to tabulate"):
+                    semantics._Tables(sig, [f], model)
+    p = parse_formula("p", sig)  # its table is one row of 2 bits, its lift 27 rows of 8
+    for limit, fits in ((27 * 8, True), (27 * 8 - 1, False)):
+        monkeypatch.setattr(semantics, "_MAX_BITS", limit)
+        semantics._cut.cache_clear()
+        if fits:
+            assert len(semantics.truth_rows(p, sig)) == 27
+        else:
+            with pytest.raises(SignatureError, match="too large to tabulate"):
+                semantics.truth_rows(p, sig)
+            assert not valid(p, sig)
+    semantics._cut.cache_clear()
 
 
 def test_product_positions_no_run_reaches_are_never_reported():

@@ -1,7 +1,8 @@
-"""Answers decided over a formula's own sub-signature, lifted to the
-signature asked for, equal those of the walk over the whole signature.
+"""Answers decided in a formula's cut layout, over the part of the
+signature it names and lifted to the rest, equal those of the walk over the
+whole signature.
 
-The reference walk gives ``semantics`` a reduction that names every
+The reference walk gives ``semantics`` the cut layout that names every
 variable and agent of the signature, so that nothing is cut and every table
 is built over all of its allocations.
 """
@@ -16,13 +17,14 @@ from propctl.axioms import formula_pool
 from propctl.control import characterize_second_order, grand_coalition_control
 from propctl.decision import counterexample, satisfiable, valid
 from propctl.kripke import cross_check
-from propctl.model import Allocation, Signature, enumerate_models
+from propctl.model import Allocation, Signature, enumerate_allocations, enumerate_models
 from propctl.normalform import equivalent, normal_form
 from propctl.syntax import parse_formula, render
 
 
 def whole_signature(monkeypatch):
-    monkeypatch.setattr(semantics, "_reduction", lambda sig, props, agents: semantics._Reduction(
+    cut = semantics._cut
+    monkeypatch.setattr(semantics, "_cut", lambda sig, props, agents: cut(
         sig, frozenset(sig.vars), frozenset(sig.agents)))
 
 
@@ -112,3 +114,36 @@ def test_tables_cover_only_the_named_part(monkeypatch):
     f = parse_formula("dia{1}(p0 & <give(1,p1,2)*>controls(2,p1)) | ~p0", sig)
     assert not valid(f, sig)
     assert sizes == [9]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_cut_positions_and_row_bits_map_to_the_signature_and_back(shape):
+    rng = random.Random(10 * shape[0] + shape[1])
+    sig = signature(*shape)
+    names = [(sig.vars[:1], sig.agents[:1])]  # the first agent named, any others not
+    for _ in range(6):
+        names.append((rng.sample(sig.vars, rng.randint(0, len(sig.vars))),
+                      rng.sample(sig.agents, rng.randint(0, len(sig.agents)))))
+    for props, agents in names:
+        layout = semantics._cut.__wrapped__(sig, frozenset(props), frozenset(agents))
+        for a in layout.domain:
+            for u in range(layout.width):
+                assert layout.project(layout.allocation(a), layout.bits(u)) == (a, u)
+        rest = min((i for i, a in enumerate(sig.agents) if a not in agents), default=None)
+        first = {}  # per position, the first allocation projecting to it
+        for alloc in enumerate_allocations(sig):
+            a = layout.project(alloc, 0)[0]
+            first.setdefault(a, alloc)
+            # a named variable keeps a named owner and goes to the stand-in from any
+            # other; an unnamed one goes to agent index 0
+            assert layout.allocation(a).owners == tuple(
+                (o if sig.agents[o] in agents else rest) if p in props else 0
+                for p, o in zip(sig.vars, alloc.owners))
+        assert [first[a] for a in layout.domain] == [layout.allocation(a) for a in layout.domain]
+        rows = [rng.randrange(1 << layout.width) for _ in layout.domain]
+        lifted = layout.lift(rows)
+        assert len(lifted) == len(sig.agents) ** len(sig.vars)
+        for alloc in enumerate_allocations(sig):
+            for bits in range(1 << len(sig.vars)):
+                a, u = layout.project(alloc, bits)
+                assert lifted[alloc.index()] >> bits & 1 == rows[a] >> u & 1

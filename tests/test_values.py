@@ -5,10 +5,12 @@ conversions and checks."""
 import copy
 import dataclasses
 import pickle
+import time
 
 import pytest
 
 from propctl.axioms import Budget, Scheme, SchemeResult, SuiteContext, SuiteReport
+from propctl import model
 from propctl.kripke import PointedKripkeModel
 from propctl.model import (
     Allocation,
@@ -86,6 +88,22 @@ REPRS = [
 
 def test_repr_of_every_class():
     assert [repr(value) for value in samples()] == REPRS
+
+
+def test_repr_of_deep_or_shared_values_is_bounded():
+    # a 60-fold doubling has 2^60 paths, and 3,000 nested negations are
+    # deeper than the interpreter's recursion limit
+    doubled, nested = Atom("p"), Atom("p")
+    for _ in range(60):
+        doubled = Or(doubled, doubled)
+    for _ in range(3000):
+        nested = Not(nested)
+    for value, whole in ((doubled, False), (nested, True)):
+        start = time.perf_counter()
+        text = repr(value)
+        assert time.perf_counter() - start < 1
+        assert len(text) <= model._REPR_LIMIT + 3
+        assert text.endswith(")" * 3001 if whole else "...")
 
 
 def test_equal_fields_are_equal_with_equal_hashes():
