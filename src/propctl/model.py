@@ -76,7 +76,8 @@ class Value:
     converts its arguments and then calls it.  Fields cannot be reassigned.
 
     The repr is ``Kind(field=value, ...)``, cut off after ``_REPR_LIMIT``
-    characters, since it writes a shared subtree once per path.  ``==`` and
+    characters, since it writes a shared subtree once per path; it writes
+    a tuple field item by item, so the cut bounds its time too.  ``==`` and
     ``hash`` are over the kind and the field values.  A value caches its
     hash, computed from the cached hashes of the values in its fields.
     ``==`` compares each pair of values once, and stops at a pair of
@@ -101,14 +102,20 @@ class Value:
             cls.__init__ = cls._assign
 
     def __repr__(self) -> str:
+        def piece(v):  # a value or a tuple stays whole on the stack until popped
+            return v if isinstance(v, Value) or type(v) is tuple else repr(v)
+
         out, size, stack = [], 0, [self]
-        while stack and size <= _REPR_LIMIT:  # a value becomes its pieces of text, on the stack
+        while stack and size <= _REPR_LIMIT:  # a value or a tuple becomes its pieces of text
             item = stack.pop()
             if isinstance(item, Value):
                 parts = [f"{type(item).__qualname__}("]
                 for i, (f, v) in enumerate(zip(item._fields, item._values())):
-                    parts += [f"{', ' if i else ''}{f}=", v if isinstance(v, Value) else repr(v)]
+                    parts += [f"{', ' if i else ''}{f}=", piece(v)]
                 stack += reversed([*parts, ")"])
+            elif type(item) is tuple:  # as the builtin repr writes it, one item at a time
+                parts = [text for v in item for text in (", ", piece(v))][1:]
+                stack += reversed(["(", *parts, ",)" if len(item) == 1 else ")"])
             else:
                 out.append(item)
                 size += len(item)

@@ -54,15 +54,18 @@ def _tile(pattern: int, width: int, count: int) -> int:
     return out
 
 
-# A table of more bits than this is large.  A large table's inputs are
-# dropped once read for the last time, its atom and coalition masks are
-# remade where read (a handover's is kept: a star reads it every round), and
-# a diamond flips only the variables its body reads.  At 3x10, where a table
-# is 7.6 MB, flipping every variable takes 3.5 times as long, and keeping
-# every mask 30% more memory for 30% less time.  On the small tables of the
-# benchmark's queries, remaking atom or coalition masks would cost up to 9%
-# of the query rate, and finding what each body reads up to 16% (2 vCPUs,
-# Python 3.11).
+# A table of more bits than this is large.  A small table's layout keeps
+# what its operators read: atom tables, ownership masks, each coalition's
+# diamond flips and each handover's step.  A large table's inputs are dropped
+# once read for the last time, its atom and ownership masks are remade where
+# read, and a diamond flips, one at a time, only the variables its body
+# reads; only its handover steps, with their ownership masks, are kept, for
+# the query alone, since a star reads them every round.  At 3x10, where a
+# table is 7.6 MB, flipping every variable takes 3.5 times as long, and
+# keeping every mask 30% more memory for 30% less time.  On the small tables
+# of the benchmark's queries, remaking atom or ownership masks would cost up
+# to 9% of the query rate, and finding what each body reads up to 16% (2
+# vCPUs, Python 3.11).
 _DROP_BITS = 1 << 15
 
 
@@ -113,10 +116,13 @@ class _Layout:
 
     Variable ``j`` can be owned by the agents ``owners[j]`` (indices), a row
     has a bit per valuation of the ``free`` variables (indices, ascending),
-    and every other variable keeps its bit of ``val``.  A small table's atom
-    and ownership masks are kept with the layout.  A cut layout (``_cut``)
-    also has ``digit``: per agent of ``sig``, the digit of the agent standing
-    for it, which ``project`` and ``lift`` read.
+    and every other variable keeps its bit of ``val``; ``point`` is the row
+    bit of ``val``.  A small table's ``masks`` are kept with the layout:
+    atom tables, ownership masks, diamond flips and handover steps (see
+    ``_Tables``); a large table keeps its own, for the query alone, and
+    leaves this one empty.  A cut layout (``_cut``) also has ``digit``: per
+    agent of ``sig``, the digit of the agent standing for it, which
+    ``project`` and ``lift`` read.
     """
 
     def __init__(self, sig: Signature, owners: list, free, val: int = 0, digit=None) -> None:
@@ -136,7 +142,10 @@ class _Layout:
         # per free variable: its distance within a row, and the row bits where it is true
         self.free = {j: (1 << i, m) for i, (j, m) in enumerate(zip(free, rows))}
         self.large = size * width > _DROP_BITS
-        self.masks: dict = {}  # atom tables by variable, ownership masks by (agents, variable)
+        self.point = sum(1 << i for i, j in enumerate(free) if val >> j & 1)
+        # atom tables by variable, ownership masks by (agents, variable), diamond
+        # flips by coalition, handover steps by (giver, variable, receiver, forward)
+        self.masks: dict = {}
 
     def allocation(self, a: int) -> Allocation:
         """The first allocation, in canonical order, at domain position ``a``.
@@ -244,12 +253,11 @@ class _Tables:
             free = [j for j in sorted({sig.var_index[f.name] for f in nodes if type(f) is Atom})
                     if any(c.intersection(reach[j]) for c in coalitions)]
             layout = _Layout(sig, owners, free, model.val.bits)
-        self.layout, self.sig, self.val, self.stride, self.rank = (
-            layout, sig, layout.val, layout.stride, layout.rank)
+        self.layout, self.sig, self.val, self.stride, self.rank, self.point = (
+            layout, sig, layout.val, layout.stride, layout.rank, layout.point)
         self.domain, self.width, self.full, self.free, self.large = (
             layout.domain, layout.width, layout.full, layout.free, layout.large)
         self.masks = {} if self.large else layout.masks  # large: kept for the query alone
-        self.point = sum(1 << i for i, j in enumerate(self.free) if self.val >> j & 1)
         spent = _spent(nodes, roots) if self.large else {}
         self.support = _support(nodes, self.sig) if self.large else {}
         self.table: dict[int, int] = {}
@@ -271,13 +279,11 @@ class _Tables:
             return self.atom(j) if j in self.free else self.full if self.val >> j & 1 else 0
         if kind is Top:
             return self.full
-        if kind is Dia:  # per free variable the body reads, flip the rows the coalition owns it in
-            t, reads = table[id(f.body)], self.support.get(id(f.body), -1)  # -1: every variable
-            for j, (shift, _) in self.free.items():
-                if reads >> j & 1 and (own := self.own(f.coalition, j)):
-                    true = self.atom(j)
-                    flipped = (t & true) >> shift | (t << shift) & true
-                    t |= flipped if own is self.full else flipped & own
+        if kind is Dia:  # join the table with its flip, one variable at a time
+            t, flips = table[id(f.body)], self.masks.get(f.coalition)
+            for shift, true, own in self.flips(f) if flips is None else flips:
+                flipped = (t & true) >> shift | (t << shift) & true
+                t |= flipped if own is None else flipped & own
             return t
         return self.pre(f.program, table[id(f.body)])  # DiaProg
 
@@ -294,11 +300,27 @@ class _Tables:
                 self.masks[j] = mask
         return mask
 
+    def flips(self, f: Dia):
+        """The diamond's flips: per free variable the coalition can own, its
+        distance within a row, its atom table, and the rows where the
+        coalition owns it (``None`` if all); flipping it swaps, in those
+        rows, the bits where it is true with the bits that distance below.
+        A small table keeps the list with the layout, by coalition.  A large
+        table makes each flip where read, only for the variables ``f``'s
+        body reads, so it never holds every variable's masks at once."""
+        reads = self.support[id(f.body)] if self.large else -1  # -1: every variable
+        flips = ((shift, self.atom(j), None if own is self.full else own)
+                 for j, (shift, _) in self.free.items()
+                 if reads >> j & 1 and (own := self.own(f.coalition, j)))
+        if not self.large:
+            flips = self.masks[f.coalition] = list(flips)
+        return flips
+
     def own(self, agents: frozenset[str], j: int, keep: bool = False) -> int:
         """The table whose rows are full where one of the agents owns
         variable ``j``, and empty elsewhere: kept with the layout if small,
-        and for the query if ``keep`` asks (a handover's, which a star reads
-        every round)."""
+        and for the query if ``keep`` asks (a handover's, which every
+        handover of the variable from the same agent shares)."""
         if (mask := self.masks.get((agents, j))) is None:
             rank = self.rank[j]
             ranks = [r for a, r in rank.items() if a in agents]
@@ -324,13 +346,9 @@ class _Tables:
         the positions a run reaches from the model."""
         kind = type(p)
         if kind is Give:
-            j = self.sig.var_index[p.var]
-            if p.giver not in (rank := self.rank[j]):  # else the receiver is a possible owner too
-                return 0
-            source, target = (p.receiver, p.giver) if forward else (p.giver, p.receiver)
-            shift = (rank[target] - rank[source]) * self.stride[j] * self.width
-            moved = table >> shift if shift >= 0 else table << -shift
-            return moved & self.own(frozenset({source}), j, keep=True)
+            key = p.giver, p.var, p.receiver, forward
+            shift, own = self.masks.get(key) or self.step(key)
+            return (table >> shift if shift >= 0 else table << -shift) & own
         if kind is Test:
             return self.table[id(p.condition)] & table
         if kind is Seq:  # a chain of steps in a loop, the last one first unless forward
@@ -346,6 +364,22 @@ class _Tables:
         while (step := table | self.pre(p.body, x, forward)) != x:
             x = step
         return x
+
+    def step(self, key: tuple) -> tuple[int, int]:
+        """The step of the handover ``(giver, var, receiver, forward)``: the
+        distance ``pre`` shifts a table by, and the ownership mask of the
+        rows the shift lands on.  It is kept in ``masks``, so for the query
+        alone if the table is large, since a star reads it every round."""
+        giver, var, receiver, forward = key
+        j = self.sig.var_index[var]
+        if giver not in (rank := self.rank[j]):  # no run; else the receiver is an owner too
+            step = 0, 0
+        else:
+            source, target = (receiver, giver) if forward else (giver, receiver)
+            step = ((rank[target] - rank[source]) * self.stride[j] * self.width,
+                    self.own(frozenset({source}), j, keep=True))
+        self.masks[key] = step
+        return step
 
     def rows(self, t: int) -> list[int]:
         """The table's rows, position by position."""

@@ -210,7 +210,7 @@ def second_order_controls(agent: str, body: Formula, sig: Signature) -> Formula:
 # ---------------------------------------------------------------------------
 # Signature extraction and fit checking.
 
-# Each node kind's children, in order.
+# Each node kind's children, in order (``_walk`` reads them inline, in this order).
 CHILDREN = {
     Top: lambda n: (), Atom: lambda n: (), Give: lambda n: (),
     Not: lambda n: (n.body,), Dia: lambda n: (n.body,), Star: lambda n: (n.body,),
@@ -231,7 +231,9 @@ def _walk(node) -> tuple[list, frozenset[str], frozenset[str]]:
     keyed on identity: a node object is listed once however many parents
     it has.  A leaf is listed when first seen; a node with children when
     the end marker pushed below them comes off the stack.  The walk keeps
-    its own stack, so depth costs no recursion.
+    its own stack, so depth costs no recursion.  It reads the children
+    ``CHILDREN`` lists in one chain of tests on the kind, the kinds most
+    frequent in expanded sugar first.
     """
     out, seen, props, agents, stack = [], set(), set(), set(), [node]
     pop, append, extend, add = stack.pop, out.append, stack.extend, seen.add
@@ -245,21 +247,34 @@ def _walk(node) -> tuple[list, frozenset[str], frozenset[str]]:
             continue
         add(key)
         kind = type(cur)
-        try:
-            below = CHILDREN[kind](cur)
-        except KeyError:
-            raise TypeError(f"not a formula or program: {cur!r}") from None
-        if below:
-            if kind is Dia:
-                agents.update(cur.coalition)
-            extend((cur, _END, *below))
-        else:
+        if kind is Not:
+            extend((cur, _END, cur.body))
+        elif kind is Or:
+            extend((cur, _END, cur.left, cur.right))
+        elif kind is Atom:
             append(cur)
-            if kind is Atom:
-                props.add(cur.name)
-            elif kind is Give:
-                agents.update((cur.giver, cur.receiver))
-                props.add(cur.var)
+            props.add(cur.name)
+        elif kind is Dia:
+            agents.update(cur.coalition)
+            extend((cur, _END, cur.body))
+        elif kind is DiaProg:
+            extend((cur, _END, cur.program, cur.body))
+        elif kind is Give:
+            append(cur)
+            agents.update((cur.giver, cur.receiver))
+            props.add(cur.var)
+        elif kind is Top:
+            append(cur)
+        elif kind is Choice:
+            extend((cur, _END, cur.left, cur.right))
+        elif kind is Star:
+            extend((cur, _END, cur.body))
+        elif kind is Test:
+            extend((cur, _END, cur.condition))
+        elif kind is Seq:
+            extend((cur, _END, cur.first, cur.second))
+        else:
+            raise TypeError(f"not a formula or program: {cur!r}")
     return out, frozenset(props), frozenset(agents)
 
 

@@ -302,6 +302,24 @@ def test_single_model_rows_cover_only_what_diamonds_can_flip():
     assert peak < 1 << 20
 
 
+def test_large_diamonds_hold_one_variables_masks_at_a_time():
+    # 3x8: 6,561 positions of 256 bits, so a table is 205 KB.  The peak is
+    # about 12 tables; holding the atom table and ownership mask of every
+    # variable dia{1} flips, all at once, would take it to about 24.
+    sig = Signature(("1", "2", "3"), tuple(f"p{j}" for j in range(8)))
+    f = parse_formula("dia{1}(" + " & ".join(sig.vars) + ") | dia{2,3} ~p0", sig)
+    semantics._cut.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = semantics._Tables(sig, [f])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables.large and not tables.layout.masks
+    assert peak < 16 * len(tables.domain) * tables.width // 8
+    assert semantics.truth_rows(f, sig)[0] == (1 << 256) - 1  # 1 owns every variable
+
+
 def test_large_tables_are_dropped_without_changing_answers():
     # 256 allocations of 256 valuations: large enough that spent tables are
     # dropped, both over the signature and at a model whose handovers reach
@@ -400,8 +418,9 @@ def test_tables_on_either_side_of_the_drop_threshold_agree_with_kripke(agents, v
 
 def test_layouts_kept_with_the_reduction_answer_as_fresh_ones(monkeypatch):
     # A model-free table's layout is made once per cached cut, with a
-    # small table's atom and ownership masks; a large table keeps its masks
-    # for the query, and a table at a model makes its own layout.
+    # small table's atom and ownership masks, diamond flips and handover
+    # steps; a large table keeps its masks for the query, and a table at a
+    # model makes its own layout.
     rng = random.Random(15)
     cases = []  # 2x2, 3x3 and one large table, interleaved
     for _ in range(3):
@@ -414,6 +433,20 @@ def test_layouts_kept_with_the_reduction_answer_as_fresh_ones(monkeypatch):
     f = DiaProg(Star(Give("1", "p0", "2")), f)  # its ownership mask is kept for the query
     cases.insert(3, (f, g, large))
     assert semantics._Tables(large, [f]).large
+    small = []  # a diamond over every coalition, and handovers read backwards
+    for agents, variables in ((2, 2), (3, 3)):
+        sig = Signature(tuple(str(i + 1) for i in range(agents)),
+                        tuple(f"p{j}" for j in range(variables)))
+        small.append(sig)
+        for bits in range(1 << agents):
+            c = {a for i, a in enumerate(sig.agents) if bits >> i & 1}
+            cases.append((Dia(c, random_formula(rng, sig, 2)), Dia(c, naming_everything(sig)),
+                          sig))
+        for giver in sig.agents:
+            steps = [Give(giver, p, receiver) for p in sig.vars for receiver in sig.agents]
+            for step in (*steps, Star(choice_all(steps))):
+                cases.append((DiaProg(step, random_formula(rng, sig, 2)),
+                              box_prog(step, naming_everything(sig)), sig))
 
     def answers(f, g, sig):
         return (valid(f, sig), satisfiable(f, sig), normal_form(f, sig).rows,
@@ -459,6 +492,17 @@ def test_layouts_kept_with_the_reduction_answer_as_fresh_ones(monkeypatch):
         program = random_program(rng, sig, 2)
         assert [kripke.pointed_of(r) for r in program_image(m, program)] == sorted(
             kripke._pointed_image(pointed, program), key=lambda pm: pm.alloc.index())
+    for sig in small:  # handovers read forwards, at every allocation
+        valuation = Valuation(sig, rng.randrange(1 << len(sig.vars)))
+        steps = [Give(i, p, j) for i in sig.agents for p in sig.vars for j in sig.agents]
+        for a in range(len(sig.agents) ** len(sig.vars)):
+            m = DirectModel(sig, Allocation.from_index(sig, a), valuation)
+            pointed = kripke.pointed_of(m)
+            for program in (*rng.sample(steps, 3), choice_all(steps),
+                            Star(choice_all(steps[::2]))):
+                assert [kripke.pointed_of(r) for r in program_image(m, program)] == sorted(
+                    kripke._pointed_image(pointed, program), key=lambda pm: pm.alloc.index())
+                assert star_depth(m, program) == kripke_depth(pointed, program)
     assert entries() == before
 
 

@@ -394,6 +394,7 @@ def test_one_pass_walk_lists_what_the_two_pass_walk_lists():
     nodes = [*formula_pool(sig, 10**6, depth=3), *shared_nodes(rng, sig, 60),
              parse_formula(" <-> ".join(f"p{i}" for i in range(18))),
              parse_formula(" | ".join(f"p{i}" for i in range(2000)))]  # no recursion
+    kinds = set()
     for node in nodes:  # ids, not nodes, in the asserts: a chain's repr is exponential
         listed, props, agents = two_pass_walk(node)
         walked, walked_props, walked_agents = syntax._walk(node)
@@ -401,6 +402,14 @@ def test_one_pass_walk_lists_what_the_two_pass_walk_lists():
         assert [id(n) for n in walked] == ids
         assert [id(n) for n in postorder(node)] == ids
         assert (walked_props, walked_agents) == (props, agents) == named
+        kinds.update(type(n) for n in walked)
+    assert kinds == set(syntax.CHILDREN)  # so a kind the walk skips would show above
+    for bad in (Or(TOP, 3), Seq(Give("1", "p", "2"), "x"), Not(Dia({"1"}, [P]))):
+        with pytest.raises(TypeError) as expected:
+            two_pass_walk(bad)
+        with pytest.raises(TypeError) as got:
+            syntax._walk(bad)
+        assert str(got.value) == str(expected.value)
 
 
 def test_walk_refuses_what_is_not_a_node():

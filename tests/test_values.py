@@ -106,6 +106,24 @@ def test_repr_of_deep_or_shared_values_is_bounded():
         assert text.endswith(")" * 3001 if whole else "...")
 
 
+def test_repr_through_a_tuple_of_values_is_bounded_in_time():
+    # the builtin tuple repr would write each copy's capped text first
+    doubled = Atom("p")
+    for _ in range(60):
+        doubled = Or(doubled, doubled)
+    ctx = SuiteContext(Signature(("1",), ("p",)), (doubled,) * 200, (), ())
+    start = time.perf_counter()
+    text = repr(ctx)
+    assert time.perf_counter() - start < 0.25
+    assert len(text) <= model._REPR_LIMIT + 3
+    assert text.startswith("SuiteContext(sig=Signature(agents=('1',), vars=('p',)), "
+                           "formulas=(Or(left=Or(") and text.endswith("...")
+    nested = SuiteContext(ctx.sig, (TOP, (1, "a", (2,)), ()), (Atom("q"),), ())
+    assert repr(nested) == ("SuiteContext(sig=Signature(agents=('1',), vars=('p',)), "
+                            "formulas=(Top(), (1, 'a', (2,)), ()), "
+                            "objectives=(Atom(name='q'),), programs=())")
+
+
 def test_equal_fields_are_equal_with_equal_hashes():
     for value, twin in zip(samples(), samples()):
         assert value == twin and not value != twin
