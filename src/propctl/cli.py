@@ -5,9 +5,10 @@ Every subcommand is a thin shell over one library call.  Exit codes:
 1 for the negative answer, 2 for syntax errors in any input (formula,
 program or model file) and for a missing or bad flag, 3 for signature
 violations (identifiers outside the model or signature in scope, including
-an unknown agent inside ``CONTROLS`` or ``giveall``), 4 for a file that
-cannot be read, and 5 for any other failure, reported in one line on
-stderr without a traceback.
+an unknown agent inside ``CONTROLS`` or ``giveall``) and for a table, or an
+``nf --emit-formula`` formula, too large to build (see ``_EMIT_LIMIT``), 4
+for a file that cannot be read, and 5 for any other failure, reported in
+one line on stderr without a traceback.
 ``--json`` switches each command to a machine-readable record.
 """
 
@@ -153,10 +154,21 @@ def _cmd_equiv(args) -> int:
     return _verdict_exit(answer)
 
 
+# The most literals ``nf --emit-formula`` writes (about 2 MB of text).  The
+# rebuilt formula writes each satisfying valuation with a literal per
+# variable, and each allocation with two (``controls`` writes p and ~p).
+_EMIT_LIMIT = 1 << 17
+
+
 def _cmd_nf(args) -> int:
     sig = Signature(_split_names(args.agents), _split_names(args.vars))
     formula = parse_formula(args.formula, sig)
     nf = normalform.normal_form(formula, sig)
+    if args.emit_formula:
+        literals = len(sig.vars) * sum(row.bit_count() + 2 for row in nf.rows)
+        if literals > _EMIT_LIMIT:
+            raise SignatureError(f"formula too large to emit: {literals} literals "
+                                 f"(limit {_EMIT_LIMIT})")
     rows, names = [], list(enumerate(sig.vars))
     for alloc, row in zip(enumerate_allocations(sig), nf.rows):
         alloc_text = " & ".join(f"controls({alloc.owner(p)},{p})" for p in sig.vars)

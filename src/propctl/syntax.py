@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from functools import partial, reduce
+from itertools import repeat
 from typing import NamedTuple
 
 from .model import (
@@ -45,6 +46,7 @@ from .model import (
     Signature,
     SignatureError,
     Value,
+    _NAME_RE,
     is_valid_name,
     model_from_dict,
 )
@@ -329,8 +331,28 @@ KEYWORDS = {
 _PROGRAM_KEYWORDS = {"give", "giveall", "test", "skip", "fail", "if", "while", "repeat"}
 
 # One alternative per kind of lexeme; "<->" and "->" are tried before "<".
-_LEXEME = re.compile(r"(?P<symbol><->|->|[(){}\[\]<>~&|;+*?,])|(?P<word>\w+)|(?P<space>[^\S\n]+)"
-                     r"|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<other>.)", re.DOTALL)
+# Only ``_tokenize`` reads it, which only a text with a comment or an error
+# reaches (see below), so ``re`` compiles it when first used, not at import.
+_SYMBOL = r"<->|->|[(){}\[\]<>~&|;+*?,]"
+_LEXEME = (rf"(?P<symbol>{_SYMBOL})|(?P<word>\w+)|(?P<space>[^\S\n]+)"
+           r"|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<other>.)")
+
+# The parser reads a text's tokens from one regex call: ``_WORD_OR_SYMBOL``
+# finds the lexemes, skipping the blanks between them, and ``_KIND`` gives
+# each one's kind (a symbol is its own kind; a word not in it is a name).
+# That reading is exact only for a clean text, which ``_CLEAN`` matches
+# whole: blanks, symbols, and names that ``is_valid_name`` accepts, none
+# followed by a word character.  Any other text (a comment, a stray
+# character, a bad identifier) is read by ``_tokenize``, which raises the
+# positioned error.  ``_tokenize`` alone gives token positions; the parser
+# reads them only to report an error.  ``_CLEAN`` reads a text in one way
+# only (a "<" is never the start of "<->"), so refusing a text backtracks
+# in linear time.
+_CLEAN = re.compile(r"(?:\s|<->|->|<(?!->)|[(){}\[\]>~&|;+*?,]"
+                    rf"|(?:{_NAME_RE.pattern})(?!\w))*")
+_WORD_OR_SYMBOL = re.compile(rf"{_SYMBOL}|\w+")
+_KIND = {**{s: s for s in ("<->", "->", *"(){}[]<>~&|;+*?,")},
+         **dict.fromkeys(KEYWORDS, "keyword")}
 
 
 class ParseError(Exception):
@@ -355,7 +377,7 @@ def _tokenize(text: str) -> list[_Token]:
     a comment moves no column."""
     tokens: list[_Token] = []
     line, col = 1, 1
-    for match in _LEXEME.finditer(text):
+    for match in re.finditer(_LEXEME, text, re.DOTALL):
         kind, lexeme = match.lastgroup, match.group()
         if kind == "symbol":
             tokens.append(_Token(lexeme, lexeme, line, col))
@@ -378,6 +400,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _lex(text: str) -> list[tuple[str, str]]:
+    """The text's tokens as ``(kind, text)`` pairs, then ``("end", "")``: what
+    ``_tokenize`` gives without the positions, from one regex call when the
+    text is clean, or else from ``_tokenize``, which raises its errors."""
+    if _CLEAN.fullmatch(text):
+        lexemes = _WORD_OR_SYMBOL.findall(text)
+        return [*zip(map(_KIND.get, lexemes, repeat("name")), lexemes), ("end", "")]
+    return [tok[:2] for tok in _tokenize(text)]
+
+
 # ---------------------------------------------------------------------------
 # Parser.
 
@@ -395,44 +427,42 @@ _PREFIX = {"~": Not, "dia": Dia, "box": box, "<": DiaProg, "[": box_prog}
 
 
 class _Parser:
+    """Recursive descent over ``_lex``'s ``(kind, text)`` pairs; ``pos`` is
+    the index of the current token."""
+
     def __init__(self, text: str, sig: Signature | None):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _lex(text)
         self.pos = 0
         self.sig = sig
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        tok = self.tokens[self.pos]
-        if tok.kind == kind and (text is None or tok.text == text):
-            self.pos += 1
-            return tok
-        return None
-
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = what or repr(kind)
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {shown}, got {got!r}", tok.line, tok.col)
-        return self.next()
-
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
+    def fail(self, message: str, index: int | None = None) -> ParseError:
+        """An error at token ``index``, by default the current one.  Its line
+        and column come from ``_tokenize``, run only now."""
+        tok = _tokenize(self.text)[self.pos if index is None else index]
         return ParseError(message, tok.line, tok.col)
 
+    def at(self, kind: str, text: str | None = None) -> bool:
+        tok = self.tokens[self.pos]
+        return tok[0] == kind and (text is None or tok[1] == text)
+
+    def accept(self, kind: str, text: str | None = None) -> bool:
+        tok = self.tokens[self.pos]
+        if tok[0] == kind and (text is None or tok[1] == text):
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind: str, what: str | None = None) -> str:
+        """The current token's text, which must be of the kind; moves past it."""
+        tok_kind, text = self.tokens[self.pos]
+        if tok_kind != kind:
+            raise self.fail(f"expected {what or repr(kind)}, got {text or 'end of input'!r}")
+        self.pos += 1
+        return text
+
     def name(self, what: str) -> str:
-        return self.expect("name", what).text
+        return self.expect("name", what)
 
     def agent(self) -> str:
         return self.name("agent name")
@@ -469,7 +499,7 @@ class _Parser:
         """The argument of ``giveall``, once a signature is known to be in
         scope: one agent, who may pass to every agent, or a giving
         coalition ``->`` a receiving one."""
-        if self.at("name") and self.tokens[self.pos + 1].kind == ")":
+        if self.at("name") and self.tokens[self.pos + 1][0] == ")":
             return frozenset({self.agent()}), self.sig.agents
         givers = self.coalition()
         self.expect("->")
@@ -487,9 +517,9 @@ class _Parser:
             out = read()
         except RecursionError:
             raise self.fail("nested too deeply") from None
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        kind, text = self.tokens[self.pos]
+        if kind != "end":
+            raise self.fail(f"unexpected trailing input {text!r}")
         return out
 
     def formula(self) -> Formula:
@@ -506,7 +536,8 @@ class _Parser:
             out = self.star(first)
         else:
             out = self.unary() if first is None else first
-        while (op := _INFIX.get(self.peek().kind)) and op[0] == sort and op[1] >= level:
+        while ((op := _INFIX.get(self.tokens[self.pos][0]))
+               and op[0] == sort and op[1] >= level):
             self.pos += 1
             _, at, build, right = op
             out = build(out, self.infix(sort, at if right else at + 1))
@@ -515,38 +546,45 @@ class _Parser:
     def unary(self) -> Formula:
         """A run of prefix operators, applied innermost first, then a primary."""
         run = []  # the constructors read, outermost first
-        while (build := _PREFIX.get(self.peek().text)) is not None:
-            tok = self.next()
-            if tok.kind == "keyword":  # dia, box
+        while (build := _PREFIX.get(self.tokens[self.pos][1])) is not None:
+            kind, text = self.tokens[self.pos]
+            self.pos += 1
+            if kind == "keyword":  # dia, box
                 if not self.at("{"):
-                    raise self.fail(f"expected '{{' after {tok.text}")
+                    raise self.fail(f"expected '{{' after {text}")
                 build = partial(build, self.coalition())
-            elif tok.kind != "~":  # <, [
+            elif kind != "~":  # <, [
                 build = partial(build, self.program())
-                self.expect(">" if tok.kind == "<" else "]")
+                self.expect(">" if kind == "<" else "]")
             run.append(build)
         out = self.primary()
         for build in reversed(run):
             out = build(out)
         return out
 
+    # ``primary`` and ``base`` branch on the current token, the most frequent
+    # cases first.  A keyword's text is never a name's or a symbol's, so a
+    # test of the text alone finds the keyword.
+
     def primary(self) -> Formula:
-        if self.accept("keyword", "true"):
-            return TOP
-        if self.accept("keyword", "false"):
-            return bottom()
-        if self.accept("keyword", "controls"):
-            return controls(*self.call(self.coalition, self.formula))
-        if self.accept("keyword", "CONTROLS"):
-            sig = self.need_sig("CONTROLS")
-            return second_order_controls(*self.call(self.agent, self.formula), sig)
-        if self.accept("("):
+        kind, text = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "name":
+            return Atom(text)
+        if kind == "(":
             out = self.formula()
             self.expect(")")
             return out
-        if self.at("name"):
-            return Atom(self.next().text)
-        raise self.fail(f"expected a formula, got {self.peek().text or 'end of input'!r}")
+        if text == "true":
+            return TOP
+        if text == "false":
+            return bottom()
+        if text == "controls":
+            return controls(*self.call(self.coalition, self.formula))
+        if text == "CONTROLS":
+            sig = self.need_sig("CONTROLS")
+            return second_order_controls(*self.call(self.agent, self.formula), sig)
+        raise self.fail(f"expected a formula, got {text or 'end of input'!r}", self.pos - 1)
 
     def star(self, out: Program | None = None) -> Program:
         if out is None:
@@ -556,42 +594,44 @@ class _Parser:
         return out
 
     def base(self) -> Program:
-        if self.accept("keyword", "give"):
-            return Give(*self.call(self.agent, partial(self.name, "variable name"), self.agent))
-        if tok := self.accept("keyword", "giveall"):
-            sig = self.need_sig("giveall")
-            [(givers, receivers)] = self.call(self.handovers)
-            if not givers:
-                raise ParseError("giveall needs a non-empty giving coalition",
-                                 tok.line, tok.col)
-            return give_program(givers, receivers, sig)
-        if self.accept("keyword", "test"):
-            return Test(*self.call(self.formula))
-        if self.accept("keyword", "skip"):
-            return Test(TOP)
-        if self.accept("keyword", "fail"):
-            return Test(bottom())
-        if self.accept("keyword", "if"):
-            cond = self.formula()
-            then_branch = self.keyword("then", self.program)
-            else_branch = self.keyword("else", self.program)
-            return Choice(Seq(Test(cond), then_branch),
-                          Seq(Test(Not(cond)), else_branch))
-        if self.accept("keyword", "while"):
-            cond = self.formula()
-            body = self.keyword("do", self.program)
-            return Seq(Star(Seq(Test(cond), body)), Test(Not(cond)))
-        if self.accept("keyword", "repeat"):
-            body = self.program()
-            cond = self.keyword("until", self.formula)
-            return Seq(Seq(body, Star(Seq(Test(Not(cond)), body))), Test(cond))
-        if self.at("("):
+        start = self.pos
+        kind, text = self.tokens[start]
+        if kind == "(":
             out = self.group()
             if isinstance(out, Program):
                 return out
             self.expect("?")
             return Test(out)
-        raise self.fail(f"expected a program, got {self.peek().text or 'end of input'!r}")
+        self.pos += 1
+        if text == "give":
+            return Give(*self.call(self.agent, partial(self.name, "variable name"), self.agent))
+        if text == "skip":
+            return Test(TOP)
+        if text == "test":
+            return Test(*self.call(self.formula))
+        if text == "fail":
+            return Test(bottom())
+        if text == "giveall":
+            sig = self.need_sig("giveall")
+            [(givers, receivers)] = self.call(self.handovers)
+            if not givers:
+                raise self.fail("giveall needs a non-empty giving coalition", start)
+            return give_program(givers, receivers, sig)
+        if text == "if":
+            cond = self.formula()
+            then_branch = self.keyword("then", self.program)
+            else_branch = self.keyword("else", self.program)
+            return Choice(Seq(Test(cond), then_branch),
+                          Seq(Test(Not(cond)), else_branch))
+        if text == "while":
+            cond = self.formula()
+            body = self.keyword("do", self.program)
+            return Seq(Star(Seq(Test(cond), body)), Test(Not(cond)))
+        if text == "repeat":
+            body = self.program()
+            cond = self.keyword("until", self.formula)
+            return Seq(Seq(body, Star(Seq(Test(Not(cond)), body))), Test(cond))
+        raise self.fail(f"expected a program, got {text or 'end of input'!r}", start)
 
     def group(self) -> Formula | Program:
         """A parenthesized group in program position, read in one pass: a
@@ -600,12 +640,13 @@ class _Parser:
         "(": that inner group is read first and becomes the leftmost
         operand of whichever kind it turned out to be."""
         self.expect("(")
-        if self.at("("):
+        kind, text = self.tokens[self.pos]
+        if kind == "(":
             inner = self.group()
             if isinstance(inner, Formula) and self.accept("?"):
                 inner = Test(inner)
             out = self.infix("program" if isinstance(inner, Program) else "formula", 1, inner)
-        elif self.peek().kind == "keyword" and self.peek().text in _PROGRAM_KEYWORDS:
+        elif kind == "keyword" and text in _PROGRAM_KEYWORDS:
             out = self.program()
         else:
             out = self.formula()
@@ -637,7 +678,9 @@ def parse_model(text: str) -> DirectModel:
 
     Expected lines: ``agents: a b``, ``vars: p q``, one ``owns a: p q`` per
     agent, and ``true: p``.  ``#`` starts a comment.  Every variable must be
-    owned by exactly one agent; ``model_from_dict`` checks that.
+    owned by exactly one agent; ``model_from_dict`` checks that.  A line
+    ends at ``\\n`` only, as in the formula lexer: any other line or page
+    break (``\\r``, ``\\v``, ``\\f``, ``\\x85``, ``\\u2028``, ...) is a blank.
     """
     lists: dict[str, list[str]] = {}  # the agents, vars and true lines
     owns: dict[str, list[str]] = {}
@@ -649,7 +692,7 @@ def parse_model(text: str) -> DirectModel:
                 raise ParseError(f"bad identifier {name!r}", line_no, 1)
         return names
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

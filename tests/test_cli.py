@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from propctl import semantics
+from propctl import cli, semantics
 from propctl.cli import main
 from propctl.decision import default_signature
 from propctl.model import model_from_dict
@@ -515,3 +516,24 @@ def test_cli_fuzz_subcommand_flags(fuzz_model_file, command, data, as_json):
             cut = [line for line in out.getvalue().splitlines()
                    if line.endswith(" 0 instance(s) (truncated)")]
         assert not cut, (argv, cut)
+
+
+def test_nf_refuses_a_formula_over_the_emit_limit(capsys, monkeypatch):
+    # 2x2, "p0": 2 of 4 valuations per row, 4 rows, 2 literals per valuation
+    # and 4 per allocation (controls writes p and ~p): 32 literals in all
+    code, out, _ = run_cli(capsys, "nf", "p0", "--agents", "1,2", "--vars", "p0,p1",
+                           "--emit-formula")
+    formula = out.splitlines()[-1].removeprefix("formula: ")
+    assert code == 0 and len(re.findall(r"\bp[01]\b", formula)) == 32
+    monkeypatch.setattr(cli, "_EMIT_LIMIT", 31)
+    code, out, err = run_cli(capsys, "nf", "p0", "--agents", "1,2", "--vars", "p0,p1",
+                             "--emit-formula")
+    assert (code, out) == (3, "")
+    assert err == "signature error: formula too large to emit: 32 literals (limit 31)\n"
+    monkeypatch.undo()
+    # 2x8 "p0 | ~p0": 256 rows of 256 valuations, 528,384 literals
+    code, out, err = run_cli(capsys, "nf", "p0 | ~p0", "--agents", "1,2",
+                             "--vars", ",".join(f"p{i}" for i in range(8)), "--emit-formula")
+    assert (code, out) == (3, "")
+    assert err == ("signature error: formula too large to emit: 528384 literals "
+                   "(limit 131072)\n")

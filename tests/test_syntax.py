@@ -1,5 +1,7 @@
+import json
 import random
 import time
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -160,6 +162,88 @@ def test_lexer_positions_golden():
         with pytest.raises(ParseError) as err:
             parse(text, sig)
         assert (err.value.message, err.value.line, err.value.col) == want, text
+
+
+# Pieces of random parser input: lexemes, blanks, line breaks, comments,
+# and what the lexer refuses (a non-ASCII word, a lone "-", "<-", a
+# digit-led word).
+_LEX_PIECES = [
+    "p", "q", "x_1", "_", "1", "12", "12ab", "pé", "é", "true", "dia", "give", "giveall",
+    "CONTROLS", "then", "(", ")", "{", "}", "[", "]", "<", ">", "<->", "->", "<-", "-",
+    "~", "&", "|", ";", "+", "*", "?", ",", " ", "  ", "\t", "\n", "\r\n", "\r",
+    "\x0c", "\x0b", "\u2028", "# c", "#", "$",
+]
+
+
+def _error(read, *args):
+    """The ``ParseError`` that ``read(*args)`` raises, as (message, line,
+    column), or None."""
+    try:
+        read(*args)
+    except ParseError as err:
+        return err.message, err.line, err.col
+    return None
+
+
+def test_one_call_lexer_reads_what_the_positioned_lexer_reads():
+    rng = random.Random(18)
+    refused = 0
+    for _ in range(4000):
+        text = "".join(rng.choice(_LEX_PIECES) for _ in range(rng.randrange(1, 25)))
+        try:
+            want = [(t.kind, t.text) for t in syntax._tokenize(text)]
+        except ParseError as err:
+            refused += 1
+            at = (err.message, err.line, err.col)
+            for read in (syntax._lex, parse_formula, parse_program):
+                assert _error(read, text) == at, (read, text)
+            continue
+        assert syntax._lex(text) == want, text
+    assert 400 < refused < 3600  # both paths are exercised
+
+
+def test_refusing_a_text_backtracks_in_linear_time():
+    # were "<->" also read as "<" then "->", each operand would double the
+    # ways to refuse the stray "-": about 3 s at 22 operands
+    for text in ("p <-> " * 22 + "-", "p <-> " * 20000 + "-"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="unexpected character '-'"):
+            parse_formula(text)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_clean_texts_parse_without_positions(monkeypatch):
+    data = json.loads((Path(__file__).parents[1] / "bench" / "data" / "check.json")
+                      .read_text(encoding="utf-8"))
+
+    def no_positions(text):
+        raise AssertionError("positions read without an error")
+
+    monkeypatch.setattr(syntax, "_tokenize", no_positions)
+    read = 0
+    for item in data["items"]:
+        if "#" in item["text"]:
+            continue
+        sig = Signature(tuple(item["agents"]), tuple(item["vars"]))
+        parse = parse_program if item["kind"] == "program_image" else parse_formula
+        parse(item["text"], sig)
+        read += 1
+    assert read == 120
+
+
+def test_error_positions_deep_in_a_long_text():
+    # each error lies 400 or more tokens in, after CRLF line ends and tabs
+    sig3 = Signature(("1", "2", "3"), ("p", "q"))
+    for parse, text, sig, want in [
+        (parse_formula,
+         "".join(f"dia{{1,2}}\t(p{i} <-> q)\t&\r\n" for i in range(40)) + "\t(q )) & p",
+         None, ("unexpected trailing input ')'", 41, 6)),
+        (parse_program, "".join(f"give(1,p{i},2);\t\r\n" for i in range(60)) + "  give(1,p,2",
+         None, ("expected ')', got 'end of input'", 61, 13)),
+        (parse_program, "skip;\r\n\t" * 200 + "giveall({} -> 2)", sig3,
+         ("giveall needs a non-empty giving coalition", 201, 2)),
+    ]:
+        assert _error(parse, text, sig) == want
 
 
 def test_duplicate_coalition_members_collapse():
@@ -578,3 +662,18 @@ def test_parse_model_refusals(text, message, line):
     with pytest.raises(ParseError) as exc:
         parse_model(text)
     assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, 1)
+
+
+@pytest.mark.parametrize("sep", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_model_lines_end_at_newline_only(sep):
+    # every other line or page break is a blank, as in the formula lexer
+    m = parse_model(f"agents: 1{sep} 2\nvars: p{sep}q\nowns 1: p q\ntrue:{sep}q\n")
+    assert m.sig == Signature(("1", "2"), ("p", "q"))
+    assert m.val.value("q") and not m.val.value("p")
+    with pytest.raises(ParseError) as exc:
+        parse_model(f"agents: 1 2{sep}vars: p\nowns 1: p\ntrue:\n")
+    assert (exc.value.message, exc.value.line) == ("bad identifier 'vars:'", 1)
+    with pytest.raises(ParseError) as exc:
+        parse_model(f"agents: 1{sep}\n{sep}\nagents: 2\n")
+    assert (exc.value.message, exc.value.line) == ("duplicate agents line", 3)
