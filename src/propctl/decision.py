@@ -6,11 +6,11 @@ the finitely many models of that signature.  Validity is unsatisfiability
 of the negation and is always relative to a signature; results name the
 signature they were decided over.
 
-Over a larger signature the same argument cuts the search: the tables
-range over the part of the signature the formula names (see
-``semantics._cut``), and the first witness in enumeration order is read off
-the first satisfiable position, with the unnamed variables false and owned
-by agent index 0.
+Over a larger signature the same argument cuts the search: unless the
+signature is small enough for its whole layout, the tables range over the
+part of the signature the formula names (see ``semantics._cut``), and the
+first witness in enumeration order is read off the first satisfiable
+position, with the unnamed variables false and owned by agent index 0.
 """
 
 from __future__ import annotations

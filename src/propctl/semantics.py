@@ -23,11 +23,19 @@ agents that can own each, and a position is a mixed-radix number: variable
 ``j``'s digit, the rank of its owner among those agents, weighs the product
 of the earlier variables' counts.  A handover then moves a position by a
 fixed distance.  A row has a bit per valuation of the free variables, and
-every other variable keeps one value.  Without a model, the layout is the
-formulas' cached ``_cut``, where truth depends on nothing else, so an
-answer in it is exact; rows are lifted to the whole signature only where a
-caller reads them.  A table at a model makes its own layout, for the
-query.  No table of more than ``_MAX_BITS`` bits is built.
+every other variable keeps one value.  Which layout serves a query:
+
+- over a signature of at most ``_WHOLE_BITS`` bits, every query, with or
+  without a model, is in the signature's whole layout, the cached ``_cut``
+  that names every variable and agent: position ``a`` is the allocation of
+  canonical index ``a`` and row bit ``u`` the valuation of bits ``u``, so a
+  model's truth is bit ``alloc.index() * W + val.bits``;
+- over a larger signature, a query without a model is in the formulas'
+  cached ``_cut``, where truth depends on nothing else, so an answer in it
+  is exact, and rows are lifted to the whole signature only where a caller
+  reads them; a query at a model makes its own layout, for the query.
+
+No table of more than ``_MAX_BITS`` bits is built.
 """
 
 from __future__ import annotations
@@ -37,8 +45,8 @@ from operator import or_
 
 from . import syntax
 from .model import Allocation, DirectModel, Signature, SignatureError
-from .syntax import (CHILDREN, Atom, Choice, Dia, Formula, Give, Not, Or, Program, Seq, Star,
-                     Test, Top, disj_all, ensure_fits, operands)
+from .syntax import (_END, CHILDREN, Atom, Choice, Dia, DiaProg, Formula, Give, Not, Or, Program,
+                     Seq, Star, Test, Top, disj_all, ensure_fits, operands)
 
 
 def _tile(pattern: int, width: int, count: int) -> int:
@@ -63,9 +71,10 @@ def _tile(pattern: int, width: int, count: int) -> int:
 # the query alone, since a star reads them every round.  At 3x10, where a
 # table is 7.6 MB, flipping every variable takes 3.5 times as long, and
 # keeping every mask 30% more memory for 30% less time.  On the small tables
-# of the benchmark's queries, remaking atom or ownership masks would cost up
-# to 9% of the query rate, and finding what each body reads up to 16% (2
-# vCPUs, Python 3.11).
+# of the benchmark's queries, then in cut and model layouts, remaking atom or
+# ownership masks would cost up to 9% of the query rate, and finding what
+# each body reads up to 16% (2 vCPUs, Python 3.11).  A whole layout (at most
+# ``_WHOLE_BITS`` bits) is always small.
 _DROP_BITS = 1 << 15
 
 
@@ -109,6 +118,17 @@ def _fit(positions: int, width: int) -> None:
     if positions * width > _MAX_BITS:
         raise SignatureError(f"too large to tabulate: {positions} rows of {width} bits "
                              f"are over the limit of {_MAX_BITS} bits")
+
+
+# A signature of at most this many bits (n^k allocations of 2^k valuations)
+# tables every query in its cached whole layout.  It covers every signature
+# up to 3x4 (1,296 bits).  Beyond it, a model-free query that names a few
+# variables gains more from its cut than a query at a model from the whole
+# layout: at 2x6 (4,096 bits), `valid` of a formula naming 2 variables took
+# 55 us in the whole layout against 35 in its cut, and `evaluate` 39 against
+# 64 in the model's layout; at 2x5 (1,024 bits), 37 against 34 and 33
+# against 83 (medians of five processes, 2 vCPUs, Python 3.11.7).
+_WHOLE_BITS = 1 << 11
 
 
 class _Layout:
@@ -190,11 +210,11 @@ class _Layout:
         return [lifted[rows[a]] for a in index]
 
 
-# `propctl axioms` asks about one signature thousands of times over a few name
-# sets (16 in the 3,901 queries of the `axioms` workload), and remaking a cut
-# layout, with a small table's atom and ownership masks, per query took 1.47
-# times as long a pass on `axioms` and 1.38 on `decide` (in-process
-# alternating rounds, 2 vCPUs, Python 3.11.7).
+# A small signature's whole layout is one entry, read by every query over the
+# signature; a larger signature's cut layouts are one per name set the
+# queries use.  Remaking the whole layout, with its masks, per query took 2.1
+# times as long a pass on the `axioms` and `decide` workloads and 1.3 on
+# `check` (in-process alternating rounds, best of six, 2 vCPUs, Python 3.11.7).
 @lru_cache(maxsize=256)
 def _cut(sig: Signature, props: frozenset[str], agents: frozenset[str]) -> _Layout:
     """The layout of model-free tables over ``sig`` of roots naming the
@@ -208,7 +228,8 @@ def _cut(sig: Signature, props: frozenset[str], agents: frozenset[str]) -> _Layo
     unnamed agent owns.  The roots hold at a pair exactly when they hold at
     its projection: no atom reads an unnamed variable, no coalition or
     handover names an unnamed agent, and a handover commutes with the
-    projection.
+    projection.  Naming every variable and agent, it is the signature's
+    whole layout, which also serves queries at a model (see ``_Tables``).
     """
     rest = next((i for i, a in enumerate(sig.agents) if a not in agents), None)
     kept = [i for i, a in enumerate(sig.agents) if a in agents or i == rest]
@@ -219,12 +240,21 @@ def _cut(sig: Signature, props: frozenset[str], agents: frozenset[str]) -> _Layo
 
 class _Tables:
     """The fit check of the roots (formulas, or one program) over the
-    signature, then, from one walk over them, the table of each formula node.
+    signature, and the table of each formula node.
 
-    Without a model, the tables are in the roots' ``_cut`` layout of the
-    signature.  ``sig`` may also be a default-signature rule, which makes
-    the signature from the names the roots use, so it fits them.  At a
-    model, the layout is made for the query: a variable's possible owners
+    Over a signature of at most ``_WHOLE_BITS`` bits (``n^k`` allocations
+    of ``2^k`` valuations), with or without a model, the tables are in the
+    cached whole layout, the signature's ``_cut`` that names every variable
+    and agent: a position is an allocation's canonical index and a row bit
+    a valuation's bits.  One walk (``walk``) checks the fit and builds each
+    table; at a model, ``point`` is the model's bit, its allocation's row
+    and its valuation's bit in it.
+
+    Otherwise one walk lists the nodes and names, and the tables are built
+    after it.  Without a model, they are in the roots' ``_cut`` layout of
+    the signature.  ``sig`` may also be a default-signature rule, which
+    makes the signature from the names the roots use, so it fits them.  At
+    a model, the layout is made for the query: a variable's possible owners
     are the model's owner, at rank 0, and every agent the roots' handovers
     can pass it on to, so position 0 is the model's allocation.  Positions
     no run reaches are tabled too, but never read from position 0.  A row
@@ -234,11 +264,19 @@ class _Tables:
     """
 
     def __init__(self, sig, roots: list, model: DirectModel | None = None):
-        if isinstance(sig, Signature):
-            nodes, props, agents = ensure_fits(disj_all(roots), sig)
-        else:
-            nodes, props, agents = syntax._walk(disj_all(roots))
+        root = disj_all(roots)
+        if not isinstance(sig, Signature):
+            nodes, props, agents = syntax._walk(root)
             sig = sig(props, agents)
+        elif ((bits := len(sig.agents) ** len(sig.vars) << len(sig.vars)) <= _WHOLE_BITS
+              and bits <= _MAX_BITS):  # both limits, before any layout is made
+            self.use(_cut(sig, frozenset(sig.var_index), frozenset(sig.agent_index)))
+            self.walk(root)
+            if model is not None:
+                self.point = model.alloc.index() * self.width + model.val.bits
+            return
+        else:
+            nodes, props, agents = ensure_fits(root, sig)
         if model is None:
             layout = _cut(sig, props, agents)
         else:
@@ -253,20 +291,86 @@ class _Tables:
             free = [j for j in sorted({sig.var_index[f.name] for f in nodes if type(f) is Atom})
                     if any(c.intersection(reach[j]) for c in coalitions)]
             layout = _Layout(sig, owners, free, model.val.bits)
-        self.layout, self.sig, self.val, self.stride, self.rank, self.point = (
-            layout, sig, layout.val, layout.stride, layout.rank, layout.point)
-        self.domain, self.width, self.full, self.free, self.large = (
-            layout.domain, layout.width, layout.full, layout.free, layout.large)
-        self.masks = {} if self.large else layout.masks  # large: kept for the query alone
+        self.use(layout)
         spent = _spent(nodes, roots) if self.large else {}
         self.support = _support(nodes, self.sig) if self.large else {}
-        self.table: dict[int, int] = {}
         for pos, node in enumerate(nodes):
             if isinstance(node, Formula):
                 self.table[id(node)] = self.build(node)
                 if spent:
                     for key in spent.get(pos, ()):
                         self.table.pop(key, None)
+
+    def use(self, layout: _Layout) -> None:
+        """Make the tables over ``layout``, none built yet."""
+        self.layout, self.sig, self.val, self.stride, self.rank, self.point = (
+            layout, layout.sig, layout.val, layout.stride, layout.rank, layout.point)
+        self.domain, self.width, self.full, self.free, self.large = (
+            layout.domain, layout.width, layout.full, layout.free, layout.large)
+        self.masks = {} if self.large else layout.masks  # large: kept for the query alone
+        self.table: dict[int, int] = {}
+
+    def walk(self, root) -> None:
+        """The fit check of ``root`` and the table of each of its formula
+        nodes, in the whole layout, from one walk.  As in ``syntax._walk``,
+        every node object is visited once, children first, on a stack of
+        its own; a formula node's table is built when the walk leaves it,
+        so a formula node is seen once it has a table, and a program node
+        once it is in ``programs``.  Each name is looked up in the
+        signature as it is met; at a name outside it, or an object that is
+        no node, ``ensure_fits`` walks the root again and raises its error."""
+        table, build, programs = self.table, self.build, set()
+        var_index, agents = self.sig.var_index, self.sig.agent_index.keys()
+        add, stack = programs.add, [root]
+        pop, append, extend = stack.pop, stack.append, stack.extend
+        while stack:
+            cur = pop()
+            if cur is _END:
+                cur = pop()
+                table[id(cur)] = build(cur)
+                continue
+            key = id(cur)
+            if key in table:
+                continue
+            kind = type(cur)
+            if kind is Not:
+                extend((cur, _END, cur.body))
+            elif kind is Or:
+                extend((cur, _END, cur.left, cur.right))
+            elif kind is Atom:
+                if cur.name not in var_index:
+                    break
+                table[key] = build(cur)
+            elif kind is Dia:
+                if not cur.coalition <= agents:
+                    break
+                extend((cur, _END, cur.body))
+            elif kind is DiaProg:
+                extend((cur, _END, cur.program, cur.body))
+            elif kind is Top:
+                table[key] = build(cur)
+            elif key in programs:
+                continue
+            elif kind is Give:
+                if not (cur.var in var_index and cur.giver in agents and cur.receiver in agents):
+                    break
+            elif kind is Choice:
+                add(key)
+                extend((cur.left, cur.right))
+            elif kind is Star:
+                add(key)
+                append(cur.body)
+            elif kind is Test:
+                add(key)
+                append(cur.condition)
+            elif kind is Seq:
+                add(key)
+                extend((cur.first, cur.second))
+            else:
+                break
+        else:
+            return
+        ensure_fits(root, self.sig)  # raises, as the fit check of every other path does
 
     def build(self, f: Formula) -> int:
         kind, table = type(f), self.table
@@ -412,7 +516,7 @@ class _Tables:
 def evaluate(model: DirectModel, formula: Formula) -> bool:
     """Truth of the formula in the model under the direct semantics."""
     tables = _Tables(model.sig, [formula], model)
-    return bool(tables.table[id(formula)] & 1 << tables.point)  # row 0 is the model's
+    return bool(tables.table[id(formula)] & 1 << tables.point)
 
 
 def program_image(model: DirectModel, program: Program) -> list[DirectModel]:
@@ -454,8 +558,9 @@ def truth_rows(formula: Formula, sig: Signature) -> list[int]:
 
 
 def _tables(formulas: list[Formula], sig) -> tuple[_Tables, list[int]]:
-    """The formulas' tables in their ``_cut`` layout of the signature (or of
-    the one a default-signature rule makes), and each formula's table, from
-    one walk over all of them."""
+    """The formulas' tables in a ``_cut`` layout of the signature (or of the
+    one a default-signature rule makes): the whole one if it is small, else
+    the one of the names they use; and each formula's table, from one walk
+    over all of them."""
     tables = _Tables(sig, formulas)
     return tables, [tables.table[id(f)] for f in formulas]

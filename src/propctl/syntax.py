@@ -47,8 +47,8 @@ from .model import (
     SignatureError,
     Value,
     _NAME_RE,
+    _model,
     is_valid_name,
-    model_from_dict,
 )
 
 
@@ -678,18 +678,23 @@ def parse_model(text: str) -> DirectModel:
 
     Expected lines: ``agents: a b``, ``vars: p q``, one ``owns a: p q`` per
     agent, and ``true: p``.  ``#`` starts a comment.  Every variable must be
-    owned by exactly one agent; ``model_from_dict`` checks that.  A line
+    owned by exactly one agent, as ``model_from_dict`` checks.  Each name
+    is checked once, where first met: the signature made from the agents
+    and vars lines does not check them again.  A line
     ends at ``\\n`` only, as in the formula lexer: any other line or page
     break (``\\r``, ``\\v``, ``\\f``, ``\\x85``, ``\\u2028``, ...) is a blank.
     """
     lists: dict[str, list[str]] = {}  # the agents, vars and true lines
     owns: dict[str, list[str]] = {}
+    checked: set[str] = set()  # the names found valid so far
 
     def split_names(body: str, line_no: int) -> list[str]:
         names = body.split()
         for name in names:
-            if not is_valid_name(name):
-                raise ParseError(f"bad identifier {name!r}", line_no, 1)
+            if name not in checked:
+                if not is_valid_name(name):
+                    raise ParseError(f"bad identifier {name!r}", line_no, 1)
+                checked.add(name)
         return names
 
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -706,8 +711,10 @@ def parse_model(text: str) -> DirectModel:
             lists[head] = split_names(body, line_no)
         elif head.split(maxsplit=1)[:1] == ["owns"]:
             agent = head[len("owns"):].strip()
-            if not is_valid_name(agent):
-                raise ParseError(f"bad agent name {agent!r} in owns line", line_no, 1)
+            if agent not in checked:
+                if not is_valid_name(agent):
+                    raise ParseError(f"bad agent name {agent!r} in owns line", line_no, 1)
+                checked.add(agent)
             if agent in owns:
                 raise ParseError(f"duplicate owns line for agent {agent!r}", line_no, 1)
             owns[agent] = split_names(body, line_no)
@@ -720,9 +727,8 @@ def parse_model(text: str) -> DirectModel:
     if "true" not in lists:
         raise ParseError("model needs a true line (possibly empty)", 1, 1)
 
-    data = {**lists, "owns": owns}
     try:
-        return model_from_dict(data)
+        return _model(Signature._of_names(lists["agents"], lists["vars"]), owns, lists["true"])
     except SignatureError as err:
         raise ParseError(str(err), 1, 1) from None
 

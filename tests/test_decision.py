@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 
-from propctl import syntax
+from propctl import semantics, syntax
 from propctl.axioms import (
     Budget,
     Scheme,
@@ -136,28 +136,37 @@ def test_one_fit_check_per_query(monkeypatch):
 
     real = syntax._walk  # what ensure_fits calls: one walk lists the nodes and names
     monkeypatch.setattr(syntax, "_walk", counting)
+    real_walk = semantics._Tables.walk  # over a small signature, one walk also builds the tables
+
+    def counting_walk(tables, node):
+        calls.append(node)
+        return real_walk(tables, node)
+
+    monkeypatch.setattr(semantics._Tables, "walk", counting_walk)
     sig = Signature(("1", "2"), ("p", "q"))
     f = parse_formula("dia{1}(p) -> <give(1,p,2)*>dia{2}(p | q)")
-    for query in (valid, satisfiable, counterexample, normal_form, grand_coalition_control):
-        calls.clear()
-        query(f, sig)
-        assert len(calls) == 1, query.__name__
     m = next(enumerate_models(sig))
     program = parse_program("give(1,p,2)* ; ((p)? + give(1,q,2))", sig)
-    for name, query in [
-        ("valid without a signature", lambda: valid(f)),
-        ("satisfiable without a signature", lambda: satisfiable(f)),
-        ("counterexample without a signature", lambda: counterexample(f)),
-        ("equivalent", lambda: equivalent(f, Not(Not(f)), sig)),
-        ("characterize_second_order",
-         lambda: characterize_second_order(sig, m.alloc, m.val, "1", f)),
-        ("delegation_can_achieve", lambda: delegation_can_achieve(sig, m.alloc, m.val, "1", f)),
-        ("evaluate", lambda: evaluate(m, f)),
-        ("program_image", lambda: program_image(m, program)),
-    ]:
-        calls.clear()
-        query()
-        assert len(calls) == 1, name
+    for whole_bits in (semantics._WHOLE_BITS, 0):  # the whole layout's walk, then the others'
+        monkeypatch.setattr(semantics, "_WHOLE_BITS", whole_bits)
+        for query in (valid, satisfiable, counterexample, normal_form, grand_coalition_control):
+            calls.clear()
+            query(f, sig)
+            assert len(calls) == 1, query.__name__
+        for name, query in [
+            ("valid without a signature", lambda: valid(f)),
+            ("satisfiable without a signature", lambda: satisfiable(f)),
+            ("counterexample without a signature", lambda: counterexample(f)),
+            ("equivalent", lambda: equivalent(f, Not(Not(f)), sig)),
+            ("characterize_second_order",
+             lambda: characterize_second_order(sig, m.alloc, m.val, "1", f)),
+            ("delegation_can_achieve", lambda: delegation_can_achieve(sig, m.alloc, m.val, "1", f)),
+            ("evaluate", lambda: evaluate(m, f)),
+            ("program_image", lambda: program_image(m, program)),
+        ]:
+            calls.clear()
+            query()
+            assert len(calls) == 1, name
 
 
 def test_validity_goldens():

@@ -4,7 +4,8 @@ whole signature.
 
 The reference walk gives ``semantics`` the cut layout that names every
 variable and agent of the signature, so that nothing is cut and every table
-is built over all of its allocations.
+is built over all of its allocations.  The whole layout that small
+signatures use by default is turned off, so the cut layouts are tested.
 """
 
 import random
@@ -20,6 +21,13 @@ from propctl.kripke import cross_check
 from propctl.model import Allocation, Signature, enumerate_allocations, enumerate_models
 from propctl.normalform import equivalent, normal_form
 from propctl.syntax import parse_formula, render
+
+
+@pytest.fixture(autouse=True)
+def cut_layouts(monkeypatch):
+    """Every signature here but 3x9 is small enough for the whole layout,
+    which would serve both sides; turned off, the cut is what is tested."""
+    monkeypatch.setattr(semantics, "_WHOLE_BITS", 0)
 
 
 def whole_signature(monkeypatch):
