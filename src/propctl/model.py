@@ -180,20 +180,9 @@ class Signature(Value):
         for name in agents + variables:
             if not is_valid_name(name):
                 raise SignatureError(f"bad identifier {name!r}")
-        self._index(agents, variables)
-
-    def _index(self, agents: tuple[str, ...], variables: tuple[str, ...]) -> None:
         self._assign(agents, variables)
         _set(self, "agent_index", {a: i for i, a in enumerate(agents)})
         _set(self, "var_index", {p: i for i, p in enumerate(variables)})
-
-    @classmethod
-    def _of_names(cls, agents, vars) -> Signature:
-        """``Signature(agents, vars)`` of non-empty lists of names already
-        checked, made without checking them again."""
-        sig = cls.__new__(cls)
-        sig._index(tuple(sorted(set(agents))), tuple(sorted(set(vars))))
-        return sig
 
 
 class Allocation(Value):
@@ -398,13 +387,9 @@ def model_to_dict(model: DirectModel) -> dict:
 
 
 def model_from_dict(data: Mapping) -> DirectModel:
-    return _model(Signature(tuple(data["agents"]), tuple(data["vars"])), data["owns"], data["true"])
-
-
-def _model(sig: Signature, owns: Mapping, true_vars) -> DirectModel:
-    """The model over ``sig`` of ``model_from_dict``'s ``owns`` and ``true`` entries."""
+    sig = Signature(tuple(data["agents"]), tuple(data["vars"]))
     owner_by_var: dict[str, str] = {}
-    for agent, owned in owns.items():
+    for agent, owned in data["owns"].items():
         if agent not in sig.agent_index:
             raise SignatureError(f"owns entry for unknown agent {agent!r}")
         for p in owned:
@@ -412,5 +397,5 @@ def _model(sig: Signature, owns: Mapping, true_vars) -> DirectModel:
                 raise SignatureError(f"variable {p!r} owned twice")
             owner_by_var[p] = agent
     alloc = Allocation.from_map(sig, owner_by_var)
-    val = Valuation.from_true_vars(sig, true_vars)
+    val = Valuation.from_true_vars(sig, data["true"])
     return DirectModel(sig, alloc, val)

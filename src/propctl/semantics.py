@@ -25,11 +25,11 @@ of the earlier variables' counts.  A handover then moves a position by a
 fixed distance.  A row has a bit per valuation of the free variables, and
 every other variable keeps one value.  Which layout serves a query:
 
-- over a signature of at most ``_WHOLE_BITS`` bits, every query, with or
-  without a model, is in the signature's whole layout, the cached ``_cut``
-  that names every variable and agent: position ``a`` is the allocation of
-  canonical index ``a`` and row bit ``u`` the valuation of bits ``u``, so a
-  model's truth is bit ``alloc.index() * W + val.bits``;
+- over a signature of at most ``_WHOLE_SHAPE`` agents and variables, every
+  query, with or without a model, is in the signature's whole layout, the
+  cached ``_cut`` that names every variable and agent: position ``a`` is
+  the allocation of canonical index ``a`` and row bit ``u`` the valuation
+  of bits ``u``, so a model's truth is bit ``alloc.index() * W + val.bits``;
 - over a larger signature, a query without a model is in the formulas'
   cached ``_cut``, where truth depends on nothing else, so an answer in it
   is exact, and rows are lifted to the whole signature only where a caller
@@ -74,7 +74,7 @@ def _tile(pattern: int, width: int, count: int) -> int:
 # of the benchmark's queries, then in cut and model layouts, remaking atom or
 # ownership masks would cost up to 9% of the query rate, and finding what
 # each body reads up to 16% (2 vCPUs, Python 3.11).  A whole layout (at most
-# ``_WHOLE_BITS`` bits) is always small.
+# ``_WHOLE_SHAPE``) is always small.
 _DROP_BITS = 1 << 15
 
 
@@ -120,15 +120,16 @@ def _fit(positions: int, width: int) -> None:
                              f"are over the limit of {_MAX_BITS} bits")
 
 
-# A signature of at most this many bits (n^k allocations of 2^k valuations)
-# tables every query in its cached whole layout.  It covers every signature
-# up to 3x4 (1,296 bits).  Beyond it, a model-free query that names a few
-# variables gains more from its cut than a query at a model from the whole
-# layout: at 2x6 (4,096 bits), `valid` of a formula naming 2 variables took
-# 55 us in the whole layout against 35 in its cut, and `evaluate` 39 against
-# 64 in the model's layout; at 2x5 (1,024 bits), 37 against 34 and 33
-# against 83 (medians of five processes, 2 vCPUs, Python 3.11.7).
-_WHOLE_BITS = 1 << 11
+# A signature of at most this many agents and variables tables every query,
+# with or without a model, in its cached whole layout (at most 3^4
+# allocations of 2^4 valuations, 1,296 bits).  It is the largest shape the
+# benchmark measures.  Beyond it the whole layout is not measured, and in
+# direct calls it costs model-free queries that name a few variables more
+# than their cut: `valid` of a formula naming 2 variables took 1.06-1.12
+# times as long at 2x5, 55 us against 35 at 2x6 and 152 against 44 at 2x7,
+# while `evaluate` at a model took 0.5 times as long at 2x5 but 1.7 at 2x7
+# (2 vCPUs, Python 3.11.7).
+_WHOLE_SHAPE = (3, 4)
 
 
 class _Layout:
@@ -242,13 +243,13 @@ class _Tables:
     """The fit check of the roots (formulas, or one program) over the
     signature, and the table of each formula node.
 
-    Over a signature of at most ``_WHOLE_BITS`` bits (``n^k`` allocations
-    of ``2^k`` valuations), with or without a model, the tables are in the
-    cached whole layout, the signature's ``_cut`` that names every variable
-    and agent: a position is an allocation's canonical index and a row bit
-    a valuation's bits.  One walk (``walk``) checks the fit and builds each
-    table; at a model, ``point`` is the model's bit, its allocation's row
-    and its valuation's bit in it.
+    Over a signature of at most ``_WHOLE_SHAPE`` agents and variables, with
+    or without a model, the tables are in the cached whole layout, the
+    signature's ``_cut`` that names every variable and agent: a position is
+    an allocation's canonical index and a row bit a valuation's bits.  One
+    walk (``walk``) checks the fit and builds each table; at a model,
+    ``point`` is the model's bit, its allocation's row and its valuation's
+    bit in it.
 
     Otherwise one walk lists the nodes and names, and the tables are built
     after it.  Without a model, they are in the roots' ``_cut`` layout of
@@ -268,8 +269,7 @@ class _Tables:
         if not isinstance(sig, Signature):
             nodes, props, agents = syntax._walk(root)
             sig = sig(props, agents)
-        elif ((bits := len(sig.agents) ** len(sig.vars) << len(sig.vars)) <= _WHOLE_BITS
-              and bits <= _MAX_BITS):  # both limits, before any layout is made
+        elif len(sig.agents) <= _WHOLE_SHAPE[0] and len(sig.vars) <= _WHOLE_SHAPE[1]:
             self.use(_cut(sig, frozenset(sig.var_index), frozenset(sig.agent_index)))
             self.walk(root)
             if model is not None:

@@ -47,8 +47,8 @@ from .model import (
     SignatureError,
     Value,
     _NAME_RE,
-    _model,
     is_valid_name,
+    model_from_dict,
 )
 
 
@@ -678,9 +678,7 @@ def parse_model(text: str) -> DirectModel:
 
     Expected lines: ``agents: a b``, ``vars: p q``, one ``owns a: p q`` per
     agent, and ``true: p``.  ``#`` starts a comment.  Every variable must be
-    owned by exactly one agent, as ``model_from_dict`` checks.  Each name
-    is checked once, where first met: the signature made from the agents
-    and vars lines does not check them again.  A line
+    owned by exactly one agent; ``model_from_dict`` checks that.  A line
     ends at ``\\n`` only, as in the formula lexer: any other line or page
     break (``\\r``, ``\\v``, ``\\f``, ``\\x85``, ``\\u2028``, ...) is a blank.
     """
@@ -727,8 +725,9 @@ def parse_model(text: str) -> DirectModel:
     if "true" not in lists:
         raise ParseError("model needs a true line (possibly empty)", 1, 1)
 
+    data = {**lists, "owns": owns}
     try:
-        return _model(Signature._of_names(lists["agents"], lists["vars"]), owns, lists["true"])
+        return model_from_dict(data)
     except SignatureError as err:
         raise ParseError(str(err), 1, 1) from None
 

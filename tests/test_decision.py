@@ -147,8 +147,8 @@ def test_one_fit_check_per_query(monkeypatch):
     f = parse_formula("dia{1}(p) -> <give(1,p,2)*>dia{2}(p | q)")
     m = next(enumerate_models(sig))
     program = parse_program("give(1,p,2)* ; ((p)? + give(1,q,2))", sig)
-    for whole_bits in (semantics._WHOLE_BITS, 0):  # the whole layout's walk, then the others'
-        monkeypatch.setattr(semantics, "_WHOLE_BITS", whole_bits)
+    for whole_shape in (semantics._WHOLE_SHAPE, (0, 0)):  # the whole layout's walk, then the others'
+        monkeypatch.setattr(semantics, "_WHOLE_SHAPE", whole_shape)
         for query in (valid, satisfiable, counterexample, normal_form, grand_coalition_control):
             calls.clear()
             query(f, sig)

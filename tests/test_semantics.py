@@ -377,7 +377,7 @@ def test_long_program_chains_are_answered():
     ("dia{1,2}(p & q & ~r & s)", 16),
 ])
 def test_rows_of_each_width_agree_with_kripke_at_every_model(text, width, monkeypatch):
-    monkeypatch.setattr(semantics, "_WHOLE_BITS", 0)  # the model's own layout, not the whole one
+    monkeypatch.setattr(semantics, "_WHOLE_SHAPE", (0, 0))  # the model's own layout, not the whole one
     sig = Signature(("1", "2"), ("p", "q", "r", "s"))
     f = parse_formula(text, sig)
     here = DirectModel(sig, Allocation.from_map(sig, {"p": "1", "q": "1", "r": "2", "s": "2"}),
@@ -422,7 +422,7 @@ def test_layouts_kept_with_the_reduction_answer_as_fresh_ones(monkeypatch):
     # small table's atom and ownership masks, diamond flips and handover
     # steps; a large table keeps its masks for the query, and a table at a
     # model makes its own layout.  The signatures' whole layouts are off.
-    monkeypatch.setattr(semantics, "_WHOLE_BITS", 0)
+    monkeypatch.setattr(semantics, "_WHOLE_SHAPE", (0, 0))
     rng = random.Random(15)
     cases = []  # 2x2, 3x3 and one large table, interleaved
     for _ in range(3):
@@ -510,6 +510,7 @@ def test_layouts_kept_with_the_reduction_answer_as_fresh_ones(monkeypatch):
 
 def test_tables_and_lifts_over_the_limit_are_refused(monkeypatch):
     # each size at the limit is built, and one bit over it is refused
+    monkeypatch.setattr(semantics, "_WHOLE_SHAPE", (0, 0))  # the cut and the model's own layout
     sig = Signature(("1", "2", "3"), ("p", "q", "r"))
     f = parse_formula("<give(1,p,2) ; give(2,q,3)> dia{2}(p & ~q) | controls(3, r)", sig)
     m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, 5))
@@ -540,7 +541,7 @@ def test_tables_and_lifts_over_the_limit_are_refused(monkeypatch):
 def test_product_positions_no_run_reaches_are_never_reported(monkeypatch):
     # p can pass to 2 and q to 3, so the domain has four positions; from
     # (p: 1, q: 2), a run of the chain reaches only (p: 2, q: 3)
-    monkeypatch.setattr(semantics, "_WHOLE_BITS", 0)  # the model's own layout, not the whole one
+    monkeypatch.setattr(semantics, "_WHOLE_SHAPE", (0, 0))  # the model's own layout, not the whole one
     sig = Signature(("1", "2", "3"), ("p", "q"))
     chain = parse_program("give(1,p,2); give(2,q,3)", sig)
     start = DirectModel(sig, Allocation.from_map(sig, {"p": "1", "q": "2"}),

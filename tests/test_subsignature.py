@@ -27,7 +27,7 @@ from propctl.syntax import parse_formula, render
 def cut_layouts(monkeypatch):
     """Every signature here but 3x9 is small enough for the whole layout,
     which would serve both sides; turned off, the cut is what is tested."""
-    monkeypatch.setattr(semantics, "_WHOLE_BITS", 0)
+    monkeypatch.setattr(semantics, "_WHOLE_SHAPE", (0, 0))
 
 
 def whole_signature(monkeypatch):

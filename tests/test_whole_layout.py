@@ -1,10 +1,11 @@
 """Answers from the whole layout equal those from the cut and model layouts.
 
-A signature of at most ``semantics._WHOLE_BITS`` bits tables every query,
-with or without a model, in its one cached whole layout.  Each answer here is
-computed with that limit as it is and with it set to 0, which sends every
-query to the roots' cut layout or the model's own layout, and both are
-checked against the possible-worlds evaluator where that is cheap.
+A signature of at most ``semantics._WHOLE_SHAPE`` agents and variables
+tables every query, with or without a model, in its one cached whole layout.
+Each answer here is computed with that limit as it is and with it set to
+(0, 0), which sends every query to the roots' cut layout or the model's own
+layout, and both are checked against the possible-worlds evaluator where
+that is cheap.
 """
 
 import random
@@ -20,7 +21,8 @@ from propctl.normalform import equivalent, normal_form
 from propctl.syntax import (TOP, Atom, Dia, DiaProg, Formula, Give, Or, Star, parse_formula,
                             postorder, render)
 
-SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)] + [(2, 6)]  # 2x6: 4,096 bits
+SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)] + [(2, 6)]
+OFF = (0, 0)  # no signature is this small: the whole layout off
 
 
 def signature(agents: int, variables: int) -> Signature:
@@ -55,15 +57,15 @@ def test_whole_layout_answers_as_the_cut_and_model_layouts(monkeypatch, shape):
     programs = [random_program(rng, sig, 2) for _ in range(4)] + [Star(random_program(rng, sig, 1))]
     models = [DirectModel(sig, Allocation.from_index(sig, rng.randrange(len(sig.agents) ** shape[1])),
                           Valuation(sig, rng.randrange(1 << shape[1]))) for _ in range(3)]
-    whole_bits = max(semantics._WHOLE_BITS, bits(sig))  # the whole layout over 2x6 too
-    monkeypatch.setattr(semantics, "_WHOLE_BITS", whole_bits)
+    whole_shape = tuple(map(max, semantics._WHOLE_SHAPE, shape))  # the whole layout over 2x6 too
+    monkeypatch.setattr(semantics, "_WHOLE_SHAPE", whole_shape)
     tables = semantics._Tables(sig, formulas[:1], models[0])
     assert (len(tables.domain), tables.width) == (len(sig.agents) ** shape[1], 1 << shape[1])
     whole = answers(sig, formulas, programs, models)
-    monkeypatch.setattr(semantics, "_WHOLE_BITS", 0)
+    monkeypatch.setattr(semantics, "_WHOLE_SHAPE", OFF)
     assert answers(sig, formulas, programs, models) == whole
     if bits(sig) <= 256:  # every model, against the possible-worlds evaluator
-        monkeypatch.setattr(semantics, "_WHOLE_BITS", whole_bits)
+        monkeypatch.setattr(semantics, "_WHOLE_SHAPE", whole_shape)
         for alloc in range(len(sig.agents) ** shape[1]):
             for val in range(1 << shape[1]):
                 m = DirectModel(sig, Allocation.from_index(sig, alloc), Valuation(sig, val))
@@ -99,9 +101,10 @@ def test_shared_nodes_are_tabled_once_in_the_whole_walk(monkeypatch):
 
 def test_the_limit_sends_small_signatures_to_the_whole_layout():
     f = Dia({"1"}, Atom("p0"))  # names one variable and one agent
-    for shape in SHAPES:
+    most_agents, most_vars = semantics._WHOLE_SHAPE
+    for shape in SHAPES + [(1, 5), (2, 5), (4, 1), (4, 2)]:
         sig = signature(*shape)
-        whole = bits(sig) <= semantics._WHOLE_BITS
+        whole = shape[0] <= most_agents and shape[1] <= most_vars
         assert len(semantics._Tables(sig, [f]).domain) == (len(sig.agents) ** shape[1] if whole
                                                            else min(2, len(sig.agents)))
 
@@ -119,8 +122,8 @@ def test_names_outside_the_signature_are_refused_alike(monkeypatch, make):
     f = make()
     program = f.program if isinstance(f, DiaProg) else Star(Give("1", "p0", "2"))
     errors = []
-    for whole_bits in (semantics._WHOLE_BITS, 0):
-        monkeypatch.setattr(semantics, "_WHOLE_BITS", whole_bits)
+    for whole_shape in (semantics._WHOLE_SHAPE, OFF):
+        monkeypatch.setattr(semantics, "_WHOLE_SHAPE", whole_shape)
         for query in (lambda: valid(f, sig), lambda: normal_form(f, sig),
                       lambda: equivalent(TOP, f, sig), lambda: semantics.evaluate(m, f),
                       lambda: semantics.program_image(m, program)):
@@ -139,8 +142,8 @@ def test_objects_that_are_no_node_are_refused_alike(monkeypatch, f):
     sig = signature(2, 2)
     m = DirectModel(sig, Allocation.from_index(sig, 0), Valuation(sig, 0))
     errors = []
-    for whole_bits in (semantics._WHOLE_BITS, 0):
-        monkeypatch.setattr(semantics, "_WHOLE_BITS", whole_bits)
+    for whole_shape in (semantics._WHOLE_SHAPE, OFF):
+        monkeypatch.setattr(semantics, "_WHOLE_SHAPE", whole_shape)
         for query in (lambda: valid(f, sig), lambda: semantics.evaluate(m, f)):
             with pytest.raises(TypeError) as err:
                 query()
