@@ -5,10 +5,14 @@ bitmask of the valuations satisfying it (its row), and packs the rows into
 one integer: the row of position ``a`` sits at bits ``[a*W, (a+1)*W)``.
 Tables are built bottom up, as in the global labelling of Clarke, Emerson &
 Sistla: one walk lists each node object once, children first, and each
-formula node's table is computed once from its children's.  Every operator
-is a few whole-table operations.  An atom is its row mask tiled over the
-table; negation and disjunction are one operation each; a coalition diamond
-flips, one variable at a time, the rows where the coalition owns it.
+formula node but a negation gets its table once, from its children's.  A
+negation is read through and never tabled: its table is that of its base,
+the first node below its run of negations that is not one, complemented if
+the run is odd.  Most nodes of expanded sugar are negations, so only the
+nodes whose tables are read get one.  Every operator is a few whole-table
+operations.  An atom is its row mask tiled over the table; disjunction is
+one operation; a coalition diamond flips, one variable at a time, the rows
+where the coalition owns it.
 Programs act by pre-image, as in PDL: ``pre(give(i,p,j), T)`` shifts the
 table by the distance between the positions the handover links and keeps
 the rows where ``i`` owns ``p``; a test is a conjunction, sequencing
@@ -78,16 +82,30 @@ def _tile(pattern: int, width: int, count: int) -> int:
 _DROP_BITS = 1 << 15
 
 
+def _base(f):
+    """The first node below ``f``'s run of negations that is not one (``f``
+    itself if it is no negation)."""
+    while type(f) is Not:
+        f = f.body
+    return f
+
+
 def _spent(nodes: list, roots: list) -> dict[int, list[int]]:
     """Per position in ``nodes``, the nodes no later position reads: a
     formula node is read by its formula parents, and through a test by
-    every diamond over a program around it; the roots are read at the end."""
-    last = {id(r): len(nodes) for r in roots}
+    every diamond over a program around it; the roots are read at the end.
+    A negation has no table, so whatever reads it reads its base, which is
+    kept until the last reader of any negation above it."""
+    last = {id(_base(r)): len(nodes) for r in roots}
     for pos in range(len(nodes) - 1, -1, -1):
         node = nodes[pos]
+        kind = type(node)
+        if kind is Not:
+            continue
         at = pos if isinstance(node, Formula) else last[id(node)]
-        for child in CHILDREN[type(node)](node):
-            last[id(child)] = max(last.get(id(child), -1), at)
+        for child in CHILDREN[kind](node):
+            key = id(_base(child))
+            last[key] = max(last.get(key, -1), at)
     spent: dict[int, list[int]] = {}
     for key, pos in last.items():
         spent.setdefault(pos, []).append(key)
@@ -241,7 +259,8 @@ def _cut(sig: Signature, props: frozenset[str], agents: frozenset[str]) -> _Layo
 
 class _Tables:
     """The fit check of the roots (formulas, or one program) over the
-    signature, and the table of each formula node.
+    signature, and the table of each formula node but a negation.  Tables
+    are read through ``value``, which reads a negation as its base.
 
     Over a signature of at most ``_WHOLE_SHAPE`` agents and variables, with
     or without a model, the tables are in the cached whole layout, the
@@ -295,7 +314,7 @@ class _Tables:
         spent = _spent(nodes, roots) if self.large else {}
         self.support = _support(nodes, self.sig) if self.large else {}
         for pos, node in enumerate(nodes):
-            if isinstance(node, Formula):
+            if isinstance(node, Formula) and type(node) is not Not:
                 self.table[id(node)] = self.build(node)
                 if spent:
                     for key in spent.get(pos, ()):
@@ -312,13 +331,15 @@ class _Tables:
 
     def walk(self, root) -> None:
         """The fit check of ``root`` and the table of each of its formula
-        nodes, in the whole layout, from one walk.  As in ``syntax._walk``,
-        every node object is visited once, children first, on a stack of
-        its own; a formula node's table is built when the walk leaves it,
-        so a formula node is seen once it has a table, and a program node
-        once it is in ``programs``.  Each name is looked up in the
-        signature as it is met; at a name outside it, or an object that is
-        no node, ``ensure_fits`` walks the root again and raises its error."""
+        nodes but the negations, in the whole layout, from one walk.  As in
+        ``syntax._walk``, every node object is visited once, children first,
+        on a stack of its own, except that a run of negations is passed
+        through in a loop to its base, each time a parent reaches it.  A
+        formula node's table is built when the walk leaves it, so a formula
+        node other than a negation is seen once it has a table, and a
+        program node once it is in ``programs``.  Each name is looked up in
+        the signature as it is met; at a name outside it, or an object that
+        is no node, ``ensure_fits`` walks the root again and raises its error."""
         table, build, programs = self.table, self.build, set()
         var_index, agents = self.sig.var_index, self.sig.agent_index.keys()
         add, stack = programs.add, [root]
@@ -329,13 +350,14 @@ class _Tables:
                 cur = pop()
                 table[id(cur)] = build(cur)
                 continue
+            kind = type(cur)
+            while kind is Not:  # a run of negations: only its base gets a table
+                cur = cur.body
+                kind = type(cur)
             key = id(cur)
             if key in table:
                 continue
-            kind = type(cur)
-            if kind is Not:
-                extend((cur, _END, cur.body))
-            elif kind is Or:
+            if kind is Or:
                 extend((cur, _END, cur.left, cur.right))
             elif kind is Atom:
                 if cur.name not in var_index:
@@ -372,24 +394,32 @@ class _Tables:
             return
         ensure_fits(root, self.sig)  # raises, as the fit check of every other path does
 
+    def value(self, f: Formula) -> int:
+        """The table of formula ``f``: a negation's is its base's,
+        complemented if the run of negations down to it is odd."""
+        odd = False
+        while type(f) is Not:
+            f, odd = f.body, not odd
+        return self.full ^ self.table[id(f)] if odd else self.table[id(f)]
+
     def build(self, f: Formula) -> int:
-        kind, table = type(f), self.table
-        if kind is Not:
-            return self.full ^ table[id(f.body)]
+        """The table of a formula node that is no negation, from its
+        children's."""
+        kind, value = type(f), self.value
         if kind is Or:
-            return table[id(f.left)] | table[id(f.right)]
+            return value(f.left) | value(f.right)
         if kind is Atom:
             j = self.sig.var_index[f.name]
             return self.atom(j) if j in self.free else self.full if self.val >> j & 1 else 0
         if kind is Top:
             return self.full
         if kind is Dia:  # join the table with its flip, one variable at a time
-            t, flips = table[id(f.body)], self.masks.get(f.coalition)
+            t, flips = value(f.body), self.masks.get(f.coalition)
             for shift, true, own in self.flips(f) if flips is None else flips:
                 flipped = (t & true) >> shift | (t << shift) & true
                 t |= flipped if own is None else flipped & own
             return t
-        return self.pre(f.program, table[id(f.body)])  # DiaProg
+        return self.pre(f.program, value(f.body))  # DiaProg
 
     def tiled(self, row: int) -> int:
         """The table holding ``row`` at every position."""
@@ -454,7 +484,7 @@ class _Tables:
             shift, own = self.masks.get(key) or self.step(key)
             return (table >> shift if shift >= 0 else table << -shift) & own
         if kind is Test:
-            return self.table[id(p.condition)] & table
+            return self.value(p.condition) & table
         if kind is Seq:  # a chain of steps in a loop, the last one first unless forward
             steps = operands(p)
             for step in steps if forward else reversed(steps):
@@ -516,7 +546,7 @@ class _Tables:
 def evaluate(model: DirectModel, formula: Formula) -> bool:
     """Truth of the formula in the model under the direct semantics."""
     tables = _Tables(model.sig, [formula], model)
-    return bool(tables.table[id(formula)] & 1 << tables.point)
+    return bool(tables.value(formula) & 1 << tables.point)
 
 
 def program_image(model: DirectModel, program: Program) -> list[DirectModel]:
@@ -563,4 +593,4 @@ def _tables(formulas: list[Formula], sig) -> tuple[_Tables, list[int]]:
     the one of the names they use; and each formula's table, from one walk
     over all of them."""
     tables = _Tables(sig, formulas)
-    return tables, [tables.table[id(f)] for f in formulas]
+    return tables, [tables.value(f) for f in formulas]

@@ -743,28 +743,38 @@ _P_CHOICE, _P_SEQ, _P_STAR, _P_BASE = 1, 2, 3, 4
 
 
 def _render_formula(f: Formula, level: int) -> str:
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):  # a run of negations: a loop, not a frame per "~"
-        run = 0
-        while type(f) is Not:
-            f, run = f.body, run + 1
-        return "~" * run + _render_formula(f, _F_UNARY)
-    if isinstance(f, Dia):
-        inner = _render_formula(f.body, _F_OR)
-        return "dia{" + ",".join(sorted(f.coalition)) + "}(" + inner + ")"
-    if isinstance(f, DiaProg):
-        inner = _render_formula(f.body, _F_OR)
-        return "<" + _render_program(f.program, _P_CHOICE) + ">(" + inner + ")"
-    if isinstance(f, Or):
-        if type(f.left) is Or:  # a chain: a loop, not a frame per link
-            text = " | ".join([_render_formula(g, _F_UNARY) for g in operands(f)])
+    """The formula's text.  Its left spine, through runs of negations and
+    the first operands of disjunctions, is walked in a loop: ``&`` is
+    ``~(~a | ~b)``, so a chain of ``&`` costs no frame per link."""
+    head, tail = [], []  # text before the spine's next node, and after it (reversed)
+    while True:
+        kind = type(f)
+        if kind is Not:
+            head.append("~")
+            f, level = f.body, _F_UNARY
+        elif kind is Or:
+            if level > _F_OR:
+                head.append("(")
+                tail.append(")")
+            # a single link skips the call: with it, the axiom catalogue renders 11% slower
+            first, *rest = operands(f) if type(f.left) is Or else (f.left, f.right)
+            tail.append("".join([" | " + _render_formula(g, _F_UNARY) for g in rest]))
+            f, level = first, _F_UNARY
         else:
-            text = _render_formula(f.left, _F_UNARY) + " | " + _render_formula(f.right, _F_UNARY)
-        return "(" + text + ")" if level > _F_OR else text
-    raise TypeError(f"not a core formula: {f!r}")
+            break
+    if kind is Top:
+        text = "true"
+    elif kind is Atom:
+        text = f.name
+    elif kind is Dia:
+        text = "dia{" + ",".join(sorted(f.coalition)) + "}(" + _render_formula(f.body, _F_OR) + ")"
+    elif kind is DiaProg:
+        text = ("<" + _render_program(f.program, _P_CHOICE) + ">("
+                + _render_formula(f.body, _F_OR) + ")")
+    else:
+        raise TypeError(f"not a core formula: {f!r}")
+    tail.reverse()
+    return "".join(head) + text + "".join(tail)
 
 
 def _render_program(p: Program, level: int) -> str:

@@ -528,6 +528,20 @@ def test_render_long_chains():
         assert parse(render(node)) == node
 
 
+def test_render_long_conjunction_chains():
+    # a & b is ~(~a | ~b): the left spine alternates negations and disjunctions
+    for n in (1, 2, 3, 17, 200):
+        names = [f"a{i}" for i in range(n)]
+        node = parse_formula(" & ".join(names))
+        text = "~(~" * (n - 1) + "a0" + "".join(f" | ~a{i})" for i in range(1, n))
+        assert render(node) == text
+        assert parse_formula(text) == node
+    chain = parse_formula(" & ".join(["p"] * 5000))
+    assert render(chain) == "~(~" * 4999 + "p" + " | ~p)" * 4999
+    mixed = parse_formula(" & ".join(["(p | q | ~r)", "~~dia{1} p"] * 2500))
+    assert render(mixed).startswith("~(~" * 4999 + "(p | q | ~r) | ~~~dia{1}(p))")
+
+
 def test_hash_and_eq_are_linear_on_shared_sugar():
     # Each "<->" uses both operands twice, so the tree grows fourfold per two
     # operands while the parse has a few hundred node objects.

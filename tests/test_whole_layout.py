@@ -18,7 +18,7 @@ from propctl.control import characterize_second_order, grand_coalition_control
 from propctl.decision import satisfiable, valid
 from propctl.model import Allocation, DirectModel, Signature, SignatureError, Valuation
 from propctl.normalform import equivalent, normal_form
-from propctl.syntax import (TOP, Atom, Dia, DiaProg, Formula, Give, Or, Star, parse_formula,
+from propctl.syntax import (TOP, Atom, Dia, DiaProg, Formula, Give, Not, Or, Star, parse_formula,
                             postorder, render)
 
 SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)] + [(2, 6)]
@@ -84,19 +84,27 @@ def test_shared_nodes_are_tabled_once_in_the_whole_walk(monkeypatch):
     f = parse_formula(" <-> ".join(["p0", "dia{1} p1"] * 6) + " | <repeat (repeat give(1,p0,2) "
                       "until p1) until dia{2}(p0 <-> p1)> p0", sig)
     m = DirectModel(sig, Allocation.from_index(sig, 2), Valuation(sig, 1))
-    built = []
+    built, tables = [], []
     real = semantics._Tables.build
 
     def counting(self, node):
         built.append(node)
+        tables.append(self)
         return real(self, node)
 
     monkeypatch.setattr(semantics._Tables, "build", counting)
+    formulas = [node for node in postorder(f) if isinstance(node, Formula)]
+    negations = [node for node in formulas if type(node) is Not]
     for query in (lambda: normal_form(f, sig), lambda: semantics.evaluate(m, f)):
         built.clear()
+        tables.clear()
         query()
-        assert sorted(map(id, built)) == sorted(
-            id(node) for node in postorder(f) if isinstance(node, Formula))
+        # each formula node but a negation is built once; a negation is read through
+        assert sorted(map(id, built)) == sorted(id(node) for node in formulas
+                                                if type(node) is not Not)
+        assert negations and len({id(t) for t in tables}) == 1
+        for node in negations:
+            assert tables[0].value(node) == tables[0].full ^ tables[0].value(node.body)
 
 
 def test_the_limit_sends_small_signatures_to_the_whole_layout():
