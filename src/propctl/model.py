@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import lru_cache
 from typing import Iterator, Mapping
 
 
@@ -386,16 +387,28 @@ def model_to_dict(model: DirectModel) -> dict:
     }
 
 
+# Equal agent and variable lists make one shared ``Signature``, kept in a
+# bounded cache as ``semantics._cut`` keeps layouts: a repeated model skips
+# the sorting and the name checks, and a cache keyed on the signature then
+# finds it by identity.  A signature is a value, so sharing it changes no
+# answer, ``==``, hash, repr or pickle.
+_signature = lru_cache(maxsize=256)(Signature)
+
+
 def model_from_dict(data: Mapping) -> DirectModel:
-    sig = Signature(tuple(data["agents"]), tuple(data["vars"]))
-    owner_by_var: dict[str, str] = {}
+    """The model of ``model_to_dict``'s record.  Each variable's owner index
+    is read from the owns lists, and the valuation's bits from the true list."""
+    sig = _signature(tuple(data["agents"]), tuple(data["vars"]))
+    agent_index = sig.agent_index
+    owner: dict[str, int] = {}
     for agent, owned in data["owns"].items():
-        if agent not in sig.agent_index:
+        if agent not in agent_index:
             raise SignatureError(f"owns entry for unknown agent {agent!r}")
         for p in owned:
-            if p in owner_by_var:
+            if p in owner:
                 raise SignatureError(f"variable {p!r} owned twice")
-            owner_by_var[p] = agent
-    alloc = Allocation.from_map(sig, owner_by_var)
-    val = Valuation.from_true_vars(sig, data["true"])
-    return DirectModel(sig, alloc, val)
+            owner[p] = agent_index[agent]
+    if owner.keys() != sig.var_index.keys():
+        Allocation.from_map(sig, owner)  # raises its error for an unowned or unknown variable
+    return DirectModel(sig, Allocation(sig, tuple(map(owner.__getitem__, sig.vars))),
+                       Valuation.from_true_vars(sig, data["true"]))

@@ -259,8 +259,9 @@ def _cut(sig: Signature, props: frozenset[str], agents: frozenset[str]) -> _Layo
 
 class _Tables:
     """The fit check of the roots (formulas, or one program) over the
-    signature, and the table of each formula node but a negation.  Tables
-    are read through ``value``, which reads a negation as its base.
+    signature, and the table of each formula node but a negation, from one
+    walk over all the roots: no table joins them.  Tables are read through
+    ``value``, which reads a negation as its base.
 
     Over a signature of at most ``_WHOLE_SHAPE`` agents and variables, with
     or without a model, the tables are in the cached whole layout, the
@@ -284,18 +285,18 @@ class _Tables:
     """
 
     def __init__(self, sig, roots: list, model: DirectModel | None = None):
-        root = disj_all(roots)
-        if not isinstance(sig, Signature):
-            nodes, props, agents = syntax._walk(root)
-            sig = sig(props, agents)
-        elif len(sig.agents) <= _WHOLE_SHAPE[0] and len(sig.vars) <= _WHOLE_SHAPE[1]:
+        if (isinstance(sig, Signature) and len(sig.agents) <= _WHOLE_SHAPE[0]
+                and len(sig.vars) <= _WHOLE_SHAPE[1]):
             self.use(_cut(sig, frozenset(sig.var_index), frozenset(sig.agent_index)))
-            self.walk(root)
+            self.walk(*roots)
             if model is not None:
                 self.point = model.alloc.index() * self.width + model.val.bits
             return
-        else:
-            nodes, props, agents = ensure_fits(root, sig)
+        nodes, props, agents = syntax._walk(*roots)
+        if not isinstance(sig, Signature):
+            sig = sig(props, agents)
+        elif not (props.issubset(sig.var_index) and agents.issubset(sig.agent_index)):
+            ensure_fits(disj_all(roots), sig)  # raises, naming what every root names outside it
         if model is None:
             layout = _cut(sig, props, agents)
         else:
@@ -329,8 +330,8 @@ class _Tables:
         self.masks = {} if self.large else layout.masks  # large: kept for the query alone
         self.table: dict[int, int] = {}
 
-    def walk(self, root) -> None:
-        """The fit check of ``root`` and the table of each of its formula
+    def walk(self, *roots) -> None:
+        """The fit check of the roots and the table of each of their formula
         nodes but the negations, in the whole layout, from one walk.  As in
         ``syntax._walk``, every node object is visited once, children first,
         on a stack of its own, except that a run of negations is passed
@@ -339,10 +340,12 @@ class _Tables:
         node other than a negation is seen once it has a table, and a
         program node once it is in ``programs``.  Each name is looked up in
         the signature as it is met; at a name outside it, or an object that
-        is no node, ``ensure_fits`` walks the root again and raises its error."""
+        is no node, ``ensure_fits`` walks the roots' join (made only then)
+        and raises its error, naming what every root names outside the
+        signature."""
         table, build, programs = self.table, self.build, set()
         var_index, agents = self.sig.var_index, self.sig.agent_index.keys()
-        add, stack = programs.add, [root]
+        add, stack = programs.add, list(roots)
         pop, append, extend = stack.pop, stack.append, stack.extend
         while stack:
             cur = pop()
@@ -392,7 +395,7 @@ class _Tables:
                 break
         else:
             return
-        ensure_fits(root, self.sig)  # raises, as the fit check of every other path does
+        ensure_fits(disj_all(roots), self.sig)  # raises, as the fit check of every other path does
 
     def value(self, f: Formula) -> int:
         """The table of formula ``f``: a negation's is its base's,

@@ -32,13 +32,20 @@ Concrete program grammar, precedence low to high:
 
 The bodies of if/while/repeat extend as far right as possible.  A coalition
 is a single name or a brace-enclosed comma list (possibly empty).
+
+The parser is one operator-precedence loop over an explicit stack (see
+``_read``): a prefix run and the infix operators waiting for an operand are
+entries on it, and every construct that nests (a group, ``<p>``/``[p]``, a
+call's formula argument, the parts of if/while/repeat) is a frame on it, so
+nesting costs no Python frame.  Formulas nest without bound; a program
+holds at most ``_PROGRAM_DEPTH`` program frames one inside another, since
+the program interpreter recurses once per level.
 """
 
 from __future__ import annotations
 
 import re
 from functools import partial, reduce
-from itertools import repeat
 from typing import NamedTuple
 
 from .model import (
@@ -225,19 +232,19 @@ CHILDREN = {
 _END = object()  # pushed between a node and its children: the node is next off the stack
 
 
-def _walk(node) -> tuple[list, frozenset[str], frozenset[str]]:
-    """Every node object of a formula or program once, children first, and
-    the variables and agents named anywhere in it, from one walk.
+def _walk(*roots) -> tuple[list, frozenset[str], frozenset[str]]:
+    """Every node object of the formulas or programs once, children first,
+    and the variables and agents named anywhere in them, from one walk.
 
     Sugar shares subtrees (``<->`` uses each operand twice), so nodes are
     keyed on identity: a node object is listed once however many parents
-    it has.  A leaf is listed when first seen; a node with children when
-    the end marker pushed below them comes off the stack.  The walk keeps
-    its own stack, so depth costs no recursion.  It reads the children
-    ``CHILDREN`` lists in one chain of tests on the kind, the kinds most
-    frequent in expanded sugar first.
+    it has, in one root or several.  A leaf is listed when first seen; a
+    node with children when the end marker pushed below them comes off the
+    stack.  The walk keeps its own stack, so depth costs no recursion.  It
+    reads the children ``CHILDREN`` lists in one chain of tests on the
+    kind, the kinds most frequent in expanded sugar first.
     """
-    out, seen, props, agents, stack = [], set(), set(), set(), [node]
+    out, seen, props, agents, stack = [], set(), set(), set(), list(roots)
     pop, append, extend, add = stack.pop, out.append, stack.extend, seen.add
     while stack:
         cur = pop()
@@ -337,22 +344,18 @@ _SYMBOL = r"<->|->|[(){}\[\]<>~&|;+*?,]"
 _LEXEME = (rf"(?P<symbol>{_SYMBOL})|(?P<word>\w+)|(?P<space>[^\S\n]+)"
            r"|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<other>.)")
 
-# The parser reads a text's tokens from one regex call: ``_WORD_OR_SYMBOL``
-# finds the lexemes, skipping the blanks between them, and ``_KIND`` gives
-# each one's kind (a symbol is its own kind; a word not in it is a name).
-# That reading is exact only for a clean text, which ``_CLEAN`` matches
-# whole: blanks, symbols, and names that ``is_valid_name`` accepts, none
-# followed by a word character.  Any other text (a comment, a stray
-# character, a bad identifier) is read by ``_tokenize``, which raises the
-# positioned error.  ``_tokenize`` alone gives token positions; the parser
-# reads them only to report an error.  ``_CLEAN`` reads a text in one way
-# only (a "<" is never the start of "<->"), so refusing a text backtracks
-# in linear time.
+# The parser reads a text's lexemes from one regex call: ``_WORD_OR_SYMBOL``
+# finds them, skipping the blanks between them.  That reading is exact only
+# for a clean text, which ``_CLEAN`` matches whole: blanks, symbols, and
+# names that ``is_valid_name`` accepts, none followed by a word character.
+# Any other text (a comment, a stray character, a bad identifier) is read by
+# ``_tokenize``, which raises the positioned error.  ``_tokenize`` alone
+# gives token positions; the parser reads them only to report an error.
+# ``_CLEAN`` reads a text in one way only (a "<" is never the start of
+# "<->"), so refusing a text backtracks in linear time.
 _CLEAN = re.compile(r"(?:\s|<->|->|<(?!->)|[(){}\[\]>~&|;+*?,]"
                     rf"|(?:{_NAME_RE.pattern})(?!\w))*")
 _WORD_OR_SYMBOL = re.compile(rf"{_SYMBOL}|\w+")
-_KIND = {**{s: s for s in ("<->", "->", *"(){}[]<>~&|;+*?,")},
-         **dict.fromkeys(KEYWORDS, "keyword")}
 
 
 class ParseError(Exception):
@@ -400,18 +403,45 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _lex(text: str) -> list[tuple[str, str]]:
-    """The text's tokens as ``(kind, text)`` pairs, then ``("end", "")``: what
-    ``_tokenize`` gives without the positions, from one regex call when the
-    text is clean, or else from ``_tokenize``, which raises its errors."""
+def _lex(text: str) -> list[str]:
+    """The text's lexemes, then ``""`` for the end: what ``_tokenize`` gives
+    without kinds or positions, from one regex call when the text is clean,
+    or else from ``_tokenize``, which raises its errors.  A lexeme is its
+    own kind: a symbol or a keyword is itself, any other word a name."""
     if _CLEAN.fullmatch(text):
         lexemes = _WORD_OR_SYMBOL.findall(text)
-        return [*zip(map(_KIND.get, lexemes, repeat("name")), lexemes), ("end", "")]
-    return [tok[:2] for tok in _tokenize(text)]
+        lexemes.append("")
+        return lexemes
+    return [tok.text for tok in _tokenize(text)]
 
 
 # ---------------------------------------------------------------------------
 # Parser.
+#
+# One loop reads the lexemes left to right over an explicit stack, so no
+# nesting costs a Python frame.  The stack holds frames and, above each,
+# the operators of the expression the frame reads that still wait for
+# their right operand: an infix operator with its left operand, or a
+# prefix one (``~``, ``dia{C}``, ``<p>``...) with its coalition or program.
+# An operator entry is a tuple ``(level, constructor, left)``; ``left`` is
+# None for ``~``, and a prefix run is a run of entries of ``_PREFIX_LEVEL``.
+# A frame is a list ``[0, tag, data, sort, depth, ...]``: level 0 stops
+# every reduction, ``data`` is what the frame has read or will apply, and
+# ``sort`` and ``depth`` are those of the frame below it, which its end
+# restores.  A frame is one of: the whole text; a parenthesized formula, or
+# a call's formula argument; a program between ``<`` and ``>`` (or ``[``
+# and ``]``); a group in program position; and the parts of an ``if``,
+# ``while`` or ``repeat``.
+#
+# The loop alternates two steps.  It reads an operand: a prefix operator is
+# pushed, an opening token pushes a frame, and a flat token (a name, a
+# ``give(...)`` or a ``giveall(...)``) is the operand.  Then, with the
+# operand in hand, it reads the stars after a program, and the next
+# lexeme: an infix operator of the frame's sort first applies the entries
+# above the frame that bind at least as tightly, as in Dijkstra's
+# shunting-yard, and is pushed; anything else applies all of them and ends
+# the frame's expression.  The frame then checks its closing lexeme and
+# makes the operand of the frame below it, or goes on to its next part.
 
 # Infix operators: token -> (sort, level, constructor, binds right).  A
 # higher level binds tighter.
@@ -422,236 +452,256 @@ _INFIX = {
 }
 
 # Prefix operators: token text -> constructor, given what follows the token
-# (a coalition or a program) and then the operand.
+# (a coalition or a program) and then the operand.  They bind tighter than
+# every infix operator.
 _PREFIX = {"~": Not, "dia": Dia, "box": box, "<": DiaProg, "[": box_prog}
+_PREFIX_LEVEL = 5
+
+# A sort is read as its infix operators: token -> (level, constructor, the
+# lowest level that the operator applies before it is pushed).
+_FORMULA, _PROGRAM = ({tok: (level, build, level + right)
+                       for tok, (of, level, build, right) in _INFIX.items() if of == sort}
+                      for sort in ("formula", "program"))
+
+# Every lexeme that is not a name: the symbols, the keywords, and the end.
+_NOT_NAME = frozenset(("<->", "->", *"(){}[]<>~&|;+*?,", *KEYWORDS, ""))
+
+# The most program frames one inside another: the whole program or the one
+# between ``<`` and ``>``, and within it each group in program position and
+# each ``if``, ``while`` or ``repeat``.  A formula between them (in a test)
+# starts the count again.  The program interpreter (``semantics._Tables.pre``)
+# recurses once per level, so deeper programs are refused here: at 100
+# levels the deepest shape measured, ``if`` branches that are choices, takes
+# about 650 Python frames of the default limit of 1,000 (Python 3.11).
+_PROGRAM_DEPTH = 100
+
+# Frame tags.  An ``if`` frame reads its condition, then (_THEN) its
+# then-branch and (_ELSE) its else-branch; ``while`` its condition and (_DO)
+# its body; ``repeat`` its body and (_UNTIL) its condition.
+_WHOLE, _PAREN, _DIAMOND, _GROUP, _IF, _THEN, _ELSE, _WHILE, _DO, _REPEAT, _UNTIL = range(11)
+_BODIES = {"if": (_IF, _FORMULA), "while": (_WHILE, _FORMULA), "repeat": (_REPEAT, _PROGRAM)}
+# per part that ends at a keyword: the keyword, the next part and what it reads
+_PARTS = {_IF: ("then", _THEN, _PROGRAM), _THEN: ("else", _ELSE, _PROGRAM),
+          _WHILE: ("do", _DO, _PROGRAM), _REPEAT: ("until", _UNTIL, _FORMULA)}
 
 
-class _Parser:
-    """Recursive descent over ``_lex``'s ``(kind, text)`` pairs; ``pos`` is
-    the index of the current token."""
+class _Refusal(Exception):
+    """A syntax error at a lexeme index; ``_parse`` finds its position."""
 
-    def __init__(self, text: str, sig: Signature | None):
-        self.text = text
-        self.tokens = _lex(text)
-        self.pos = 0
-        self.sig = sig
 
-    def fail(self, message: str, index: int | None = None) -> ParseError:
-        """An error at token ``index``, by default the current one.  Its line
-        and column come from ``_tokenize``, run only now."""
-        tok = _tokenize(self.text)[self.pos if index is None else index]
-        return ParseError(message, tok.line, tok.col)
+def _expected(lexemes: list[str], i: int, what: str) -> _Refusal:
+    return _Refusal(f"expected {what}, got {lexemes[i] or 'end of input'!r}", i)
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok[0] == kind and (text is None or tok[1] == text)
 
-    def accept(self, kind: str, text: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
-        if tok[0] == kind and (text is None or tok[1] == text):
-            self.pos += 1
-            return True
-        return False
+def _skip(lexemes: list[str], i: int, symbol: str) -> int:
+    """The index after lexeme ``i``, which must be the symbol."""
+    if lexemes[i] != symbol:
+        raise _expected(lexemes, i, repr(symbol))
+    return i + 1
 
-    def expect(self, kind: str, what: str | None = None) -> str:
-        """The current token's text, which must be of the kind; moves past it."""
-        tok_kind, text = self.tokens[self.pos]
-        if tok_kind != kind:
-            raise self.fail(f"expected {what or repr(kind)}, got {text or 'end of input'!r}")
-        self.pos += 1
-        return text
 
-    def name(self, what: str) -> str:
-        return self.expect("name", what)
+def _name(lexemes: list[str], i: int, what: str) -> str:
+    """Lexeme ``i``, which must be a name."""
+    if lexemes[i] in _NOT_NAME:
+        raise _expected(lexemes, i, what)
+    return lexemes[i]
 
-    def agent(self) -> str:
-        return self.name("agent name")
 
-    def coalition(self) -> frozenset[str]:
-        if self.accept("{"):
-            names: set[str] = set()
-            if not self.at("}"):
-                names.add(self.agent())
-                while self.accept(","):
-                    names.add(self.agent())
-            self.expect("}")
-            return frozenset(names)
-        return frozenset({self.agent()})
+def _coalition(lexemes: list[str], i: int) -> tuple[frozenset[str], int]:
+    """The coalition at lexeme ``i``, a name or a braced comma list, and the
+    index after it."""
+    if lexemes[i] != "{":
+        return frozenset((_name(lexemes, i, "agent name"),)), i + 1
+    names, i = set(), i + 1
+    if lexemes[i] != "}":
+        names.add(_name(lexemes, i, "agent name"))
+        i += 1
+        while lexemes[i] == ",":
+            names.add(_name(lexemes, i + 1, "agent name"))
+            i += 2
+    return frozenset(names), _skip(lexemes, i, "}")
 
-    def call(self, *readers) -> list:
-        """A parenthesized, comma-separated argument list: what each reader
-        reads, in order."""
-        self.expect("(")
-        out = [readers[0]()]
-        for read in readers[1:]:
-            self.expect(",")
-            out.append(read())
-        self.expect(")")
-        return out
 
-    def keyword(self, word: str, read):
-        """The keyword, then what ``read`` reads."""
-        if not self.accept("keyword", word):
-            raise self.fail(f"expected {word!r}")
-        return read()
-
-    def handovers(self) -> tuple:
-        """The argument of ``giveall``, once a signature is known to be in
-        scope: one agent, who may pass to every agent, or a giving
-        coalition ``->`` a receiving one."""
-        if self.at("name") and self.tokens[self.pos + 1][0] == ")":
-            return frozenset({self.agent()}), self.sig.agents
-        givers = self.coalition()
-        self.expect("->")
-        return givers, self.coalition()
-
-    def need_sig(self, construct: str) -> Signature:
-        if self.sig is None:
-            raise self.fail(f"{construct} needs a signature in scope")
-        return self.sig
-
-    def whole(self, read):
-        """All of the text as what ``read`` reads.  Nesting too deep for the
-        interpreter's stack is a syntax error at the token reached."""
-        try:
-            out = read()
-        except RecursionError:
-            raise self.fail("nested too deeply") from None
-        kind, text = self.tokens[self.pos]
-        if kind != "end":
-            raise self.fail(f"unexpected trailing input {text!r}")
-        return out
-
-    def formula(self) -> Formula:
-        return self.infix("formula", 1)
-
-    def program(self) -> Program:
-        return self.infix("program", 1)
-
-    def infix(self, sort: str, level: int, first=None):
-        """Operands of the sort joined by its infix operators of at least
-        the given level: precedence climbing over ``_INFIX``.  ``first`` is
-        the leftmost operand (before any star) if it has been read already."""
-        if sort == "program":
-            out = self.star(first)
-        else:
-            out = self.unary() if first is None else first
-        while ((op := _INFIX.get(self.tokens[self.pos][0]))
-               and op[0] == sort and op[1] >= level):
-            self.pos += 1
-            _, at, build, right = op
-            out = build(out, self.infix(sort, at if right else at + 1))
-        return out
-
-    def unary(self) -> Formula:
-        """A run of prefix operators, applied innermost first, then a primary."""
-        run = []  # the constructors read, outermost first
-        while (build := _PREFIX.get(self.tokens[self.pos][1])) is not None:
-            kind, text = self.tokens[self.pos]
-            self.pos += 1
-            if kind == "keyword":  # dia, box
-                if not self.at("{"):
-                    raise self.fail(f"expected '{{' after {text}")
-                build = partial(build, self.coalition())
-            elif kind != "~":  # <, [
-                build = partial(build, self.program())
-                self.expect(">" if kind == "<" else "]")
-            run.append(build)
-        out = self.primary()
-        for build in reversed(run):
-            out = build(out)
-        return out
-
-    # ``primary`` and ``base`` branch on the current token, the most frequent
-    # cases first.  A keyword's text is never a name's or a symbol's, so a
-    # test of the text alone finds the keyword.
-
-    def primary(self) -> Formula:
-        kind, text = self.tokens[self.pos]
-        self.pos += 1
-        if kind == "name":
-            return Atom(text)
-        if kind == "(":
-            out = self.formula()
-            self.expect(")")
-            return out
-        if text == "true":
-            return TOP
-        if text == "false":
-            return bottom()
-        if text == "controls":
-            return controls(*self.call(self.coalition, self.formula))
-        if text == "CONTROLS":
-            sig = self.need_sig("CONTROLS")
-            return second_order_controls(*self.call(self.agent, self.formula), sig)
-        raise self.fail(f"expected a formula, got {text or 'end of input'!r}", self.pos - 1)
-
-    def star(self, out: Program | None = None) -> Program:
-        if out is None:
-            out = self.base()
-        while self.accept("*"):
-            out = Star(out)
-        return out
-
-    def base(self) -> Program:
-        start = self.pos
-        kind, text = self.tokens[start]
-        if kind == "(":
-            out = self.group()
-            if isinstance(out, Program):
-                return out
-            self.expect("?")
-            return Test(out)
-        self.pos += 1
-        if text == "give":
-            return Give(*self.call(self.agent, partial(self.name, "variable name"), self.agent))
-        if text == "skip":
-            return Test(TOP)
-        if text == "test":
-            return Test(*self.call(self.formula))
-        if text == "fail":
-            return Test(bottom())
-        if text == "giveall":
-            sig = self.need_sig("giveall")
-            [(givers, receivers)] = self.call(self.handovers)
+def _read(lexemes: list[str], sig: Signature | None, sort: dict):
+    """The AST of all of the lexemes, read as a ``sort`` (see above)."""
+    # what the top frame reads now, _FORMULA or _PROGRAM (None in a group
+    # that its leading group decides), and its depth if it reads a program
+    depth = 1 if sort is _PROGRAM else 0
+    stack = [[0, _WHOLE, None, None, None]]
+    push, pop, i = stack.append, stack.pop, 0
+    while True:
+        tok = lexemes[i]
+        if sort is _FORMULA:  # a prefix operator, an opening token or a primary
+            if tok not in _NOT_NAME:
+                x, i = Atom(tok), i + 1
+            elif tok == "(":
+                push([0, _PAREN, None, sort, depth])
+                i += 1
+                continue
+            elif tok == "~":
+                push((_PREFIX_LEVEL, Not, None))
+                i += 1
+                continue
+            elif tok == "<" or tok == "[":
+                push([0, _DIAMOND, tok, sort, depth])
+                sort, depth, i = _PROGRAM, 1, i + 1
+                continue
+            elif tok == "dia" or tok == "box":
+                if lexemes[i + 1] != "{":
+                    raise _Refusal(f"expected '{{' after {tok}", i + 1)
+                coalition, i = _coalition(lexemes, i + 1)
+                push((_PREFIX_LEVEL, _PREFIX[tok], coalition))
+                continue
+            elif tok == "true":
+                x, i = TOP, i + 1
+            elif tok == "false":
+                x, i = bottom(), i + 1
+            elif tok == "controls":
+                coalition, i = _coalition(lexemes, _skip(lexemes, i + 1, "("))
+                push([0, _PAREN, partial(controls, coalition), sort, depth])
+                i = _skip(lexemes, i, ",")
+                continue
+            elif tok == "CONTROLS":
+                if sig is None:
+                    raise _Refusal("CONTROLS needs a signature in scope", i + 1)
+                i = _skip(lexemes, i + 1, "(")
+                agent = _name(lexemes, i, "agent name")
+                i = _skip(lexemes, i + 1, ",")
+                push([0, _PAREN, lambda body, agent=agent: second_order_controls(agent, body, sig),
+                      sort, depth])
+                continue
+            else:
+                raise _Refusal(f"expected a formula, got {tok or 'end of input'!r}", i)
+        elif tok == "(":  # a group: a program, or a formula that "?" makes a test
+            while True:  # a leading "(" opens a group that the group's value decides
+                if depth >= _PROGRAM_DEPTH:
+                    raise _Refusal(f"nested too deeply: over {_PROGRAM_DEPTH} program frames", i)
+                push([0, _GROUP, None, sort, depth])
+                depth, i = depth + 1, i + 1
+                if lexemes[i] != "(":
+                    break
+                sort = None
+            sort = _PROGRAM if lexemes[i] in _PROGRAM_KEYWORDS else _FORMULA
+            continue
+        elif tok == "give":
+            i = _skip(lexemes, i + 1, "(")
+            giver = _name(lexemes, i, "agent name")
+            i = _skip(lexemes, i + 1, ",")
+            var = _name(lexemes, i, "variable name")
+            i = _skip(lexemes, i + 1, ",")
+            receiver = _name(lexemes, i, "agent name")
+            x, i = Give(giver, var, receiver), _skip(lexemes, i + 1, ")")
+        elif tok == "skip":
+            x, i = Test(TOP), i + 1
+        elif tok == "test":
+            i = _skip(lexemes, i + 1, "(")
+            push([0, _PAREN, Test, sort, depth])
+            sort = _FORMULA
+            continue
+        elif tok == "fail":
+            x, i = Test(bottom()), i + 1
+        elif tok == "giveall":
+            if sig is None:
+                raise _Refusal("giveall needs a signature in scope", i + 1)
+            start, i = i, _skip(lexemes, i + 1, "(")
+            if lexemes[i] not in _NOT_NAME and lexemes[i + 1] == ")":  # one agent, to anyone
+                givers, receivers, i = frozenset((lexemes[i],)), sig.agents, i + 1
+            else:
+                givers, i = _coalition(lexemes, i)
+                receivers, i = _coalition(lexemes, _skip(lexemes, i, "->"))
+            i = _skip(lexemes, i, ")")
             if not givers:
-                raise self.fail("giveall needs a non-empty giving coalition", start)
-            return give_program(givers, receivers, sig)
-        if text == "if":
-            cond = self.formula()
-            then_branch = self.keyword("then", self.program)
-            else_branch = self.keyword("else", self.program)
-            return Choice(Seq(Test(cond), then_branch),
-                          Seq(Test(Not(cond)), else_branch))
-        if text == "while":
-            cond = self.formula()
-            body = self.keyword("do", self.program)
-            return Seq(Star(Seq(Test(cond), body)), Test(Not(cond)))
-        if text == "repeat":
-            body = self.program()
-            cond = self.keyword("until", self.formula)
-            return Seq(Seq(body, Star(Seq(Test(Not(cond)), body))), Test(cond))
-        raise self.fail(f"expected a program, got {text or 'end of input'!r}", start)
-
-    def group(self) -> Formula | Program:
-        """A parenthesized group in program position, read in one pass: a
-        program, or a formula that the caller makes a test with the "?"
-        after the group.  The first token decides, except for a leading
-        "(": that inner group is read first and becomes the leftmost
-        operand of whichever kind it turned out to be."""
-        self.expect("(")
-        kind, text = self.tokens[self.pos]
-        if kind == "(":
-            inner = self.group()
-            if isinstance(inner, Formula) and self.accept("?"):
-                inner = Test(inner)
-            out = self.infix("program" if isinstance(inner, Program) else "formula", 1, inner)
-        elif kind == "keyword" and text in _PROGRAM_KEYWORDS:
-            out = self.program()
+                raise _Refusal("giveall needs a non-empty giving coalition", start)
+            x = give_program(givers, receivers, sig)
+        elif tok in _BODIES:
+            if depth >= _PROGRAM_DEPTH:
+                raise _Refusal(f"nested too deeply: over {_PROGRAM_DEPTH} program frames", i)
+            tag, part = _BODIES[tok]
+            push([0, tag, None, sort, depth, depth + 1])
+            sort, depth, i = part, depth + 1, i + 1
+            continue
         else:
-            out = self.formula()
-        self.expect(")")
-        return out
+            raise _Refusal(f"expected a program, got {tok or 'end of input'!r}", i)
+
+        while True:  # ``x`` is an operand of the top frame's expression
+            tok = lexemes[i]
+            if sort is _PROGRAM:
+                while tok == "*":
+                    x, i = Star(x), i + 1
+                    tok = lexemes[i]
+            op = sort.get(tok)
+            if op is not None:
+                level, build, binds = op
+                while stack[-1][0] >= binds:  # apply what binds at least as tightly
+                    _, apply, left = pop()
+                    x = apply(x) if left is None else apply(left, x)
+                push((level, build, x))
+                i += 1
+                break
+            while stack[-1][0]:  # the expression ends: apply every operator to it
+                _, apply, left = pop()
+                x = apply(x) if left is None else apply(left, x)
+            frame = stack[-1]
+            tag = frame[1]
+            if tag == _PAREN:
+                if tok != ")":
+                    raise _expected(lexemes, i, "')'")
+                i += 1
+                pop()
+                if frame[2] is not None:
+                    x = frame[2](x)
+            elif tag == _DIAMOND:  # the program becomes a prefix operator's
+                i = _skip(lexemes, i, ">" if frame[2] == "<" else "]")
+                pop()
+                push((_PREFIX_LEVEL, _PREFIX[frame[2]], x))
+                sort, depth = frame[3], frame[4]
+                break
+            elif tag == _GROUP:
+                if tok != ")":
+                    raise _expected(lexemes, i, "')'")
+                i += 1
+                pop()
+                if frame[3] is None:  # the leading group of a group
+                    if isinstance(x, Formula) and lexemes[i] == "?":
+                        x, i = Test(x), i + 1
+                    sort, depth = _PROGRAM if isinstance(x, Program) else _FORMULA, frame[4]
+                    continue
+                if isinstance(x, Formula):
+                    x, i = Test(x), _skip(lexemes, i, "?")
+            elif tag == _WHOLE:
+                if tok:
+                    raise _Refusal(f"unexpected trailing input {tok!r}", i)
+                return x
+            elif tag in _PARTS:
+                word, frame[1], sort = _PARTS[tag]
+                if tok != word:
+                    raise _Refusal(f"expected {word!r}", i)
+                frame[2] = x if frame[2] is None else (frame[2], x)
+                depth, i = frame[5], i + 1
+                break
+            else:
+                pop()
+                if tag == _ELSE:
+                    cond, then = frame[2]
+                    x = Choice(Seq(Test(cond), then), Seq(Test(Not(cond)), x))
+                elif tag == _DO:
+                    cond = frame[2]
+                    x = Seq(Star(Seq(Test(cond), x)), Test(Not(cond)))
+                else:  # _UNTIL
+                    body = frame[2]
+                    x = Seq(Seq(body, Star(Seq(Test(Not(x)), body))), Test(x))
+            sort, depth = frame[3], frame[4]
+
+
+def _parse(text: str, sig: Signature | None, sort: dict):
+    """All of the text as a ``sort``; a refusal's position comes from
+    ``_tokenize``, run only then."""
+    try:
+        return _read(_lex(text), sig, sort)
+    except _Refusal as refusal:
+        message, index = refusal.args
+        tok = _tokenize(text)[index]
+        raise ParseError(message, tok.line, tok.col) from None
 
 
 def parse_formula(text: str, sig: Signature | None = None) -> Formula:
@@ -660,14 +710,12 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     A signature is only required for constructs that quantify over it
     (CONTROLS and giveall).
     """
-    parser = _Parser(text, sig)
-    return parser.whole(parser.formula)
+    return _parse(text, sig, _FORMULA)
 
 
 def parse_program(text: str, sig: Signature | None = None) -> Program:
     """Parse concrete program syntax into the core AST, expanding all sugar."""
-    parser = _Parser(text, sig)
-    return parser.whole(parser.program)
+    return _parse(text, sig, _PROGRAM)
 
 
 # ---------------------------------------------------------------------------
@@ -681,55 +729,56 @@ def parse_model(text: str) -> DirectModel:
     owned by exactly one agent; ``model_from_dict`` checks that.  A line
     ends at ``\\n`` only, as in the formula lexer: any other line or page
     break (``\\r``, ``\\v``, ``\\f``, ``\\x85``, ``\\u2028``, ...) is a blank.
+    Each name is checked once, where it is first read.
     """
-    lists: dict[str, list[str]] = {}  # the agents, vars and true lines
+    lists: dict = {}  # the agents, vars and true lines, then the owns lines
     owns: dict[str, list[str]] = {}
     checked: set[str] = set()  # the names found valid so far
-
-    def split_names(body: str, line_no: int) -> list[str]:
-        names = body.split()
-        for name in names:
-            if name not in checked:
-                if not is_valid_name(name):
-                    raise ParseError(f"bad identifier {name!r}", line_no, 1)
-                checked.add(name)
-        return names
-
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         head, sep, body = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected 'keyword: ...', got {line!r}", line_no, 1)
         head = head.strip()
-        if head in ("agents", "vars", "true"):
+        if not sep:
+            if head:
+                raise ParseError(f"expected 'keyword: ...', got {head!r}", line_no, 1)
+            continue
+        if head in _MODEL_LISTS:
             if head in lists:
                 raise ParseError(f"duplicate {head} line", line_no, 1)
-            lists[head] = split_names(body, line_no)
-        elif head.split(maxsplit=1)[:1] == ["owns"]:
-            agent = head[len("owns"):].strip()
-            if agent not in checked:
-                if not is_valid_name(agent):
-                    raise ParseError(f"bad agent name {agent!r} in owns line", line_no, 1)
-                checked.add(agent)
-            if agent in owns:
-                raise ParseError(f"duplicate owns line for agent {agent!r}", line_no, 1)
-            owns[agent] = split_names(body, line_no)
+            into, key = lists, head
+        elif head[:4] == "owns" and (len(head) == 4 or head[4].isspace()):
+            key = head[4:].lstrip()
+            if key not in checked:
+                if not is_valid_name(key):
+                    raise ParseError(f"bad agent name {key!r} in owns line", line_no, 1)
+                checked.add(key)
+            if key in owns:
+                raise ParseError(f"duplicate owns line for agent {key!r}", line_no, 1)
+            into = owns
         else:
             raise ParseError(f"unknown line kind {head!r}", line_no, 1)
+        names = into[key] = body.split()
+        if not checked.issuperset(names):
+            for name in names:
+                if name not in checked:
+                    if not is_valid_name(name):
+                        raise ParseError(f"bad identifier {name!r}", line_no, 1)
+                    checked.add(name)
 
     for head in ("agents", "vars"):
         if not lists.get(head):
             raise ParseError(f"model needs a non-empty {head} line", 1, 1)
     if "true" not in lists:
         raise ParseError("model needs a true line (possibly empty)", 1, 1)
-
-    data = {**lists, "owns": owns}
+    lists["owns"] = owns
     try:
-        return model_from_dict(data)
+        return model_from_dict(lists)
     except SignatureError as err:
         raise ParseError(str(err), 1, 1) from None
+
+
+_MODEL_LISTS = frozenset(("agents", "vars", "true"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from propctl import cli, semantics
+from propctl import cli, semantics, syntax
 from propctl.cli import main
 from propctl.decision import default_signature
 from propctl.model import model_from_dict
@@ -392,15 +392,28 @@ def test_long_conjunction_chain_is_answered(model_file, capsys):
 
 
 def test_deep_nesting_is_answered_or_refused(model_file, capsys):
-    # prefix runs and chains are read in loops; parentheses nest frames
+    # the parser keeps its own stack, so formulas nest without bound; a
+    # program holds at most _PROGRAM_DEPTH program frames one inside another,
+    # which the program interpreter evaluates without running out of stack
+    depth = syntax._PROGRAM_DEPTH - 1  # frames inside the one "<" opens
     for formula in ("~" * 3000 + "p", "<" + "; ".join(["skip"] * 1000) + ">true",
-                    "<give(1,p,2)" + "*" * 1500 + ">true"):
+                    "<give(1,p,2)" + "*" * 1500 + ">true", "(" * 2000 + "p" + ")" * 2000,
+                    "dia{1}(" * 2000 + "p" + ")" * 2000,
+                    "<" + "(skip; " * depth + "skip" + ")" * depth + ">true",
+                    "<" + "if p then skip + " * depth + "skip" + " else skip" * depth + ">true",
+                    "<" + "while p do skip + skip; " * depth + "skip" + "*" * depth + ">true"):
+        for command in ("check", "controls --second-order --agent 1"):
+            code, out, err = run_cli(capsys, *command.split(), "--model", model_file,
+                                     "--formula", formula)
+            assert code in (0, 1) and err == "" and out, (command, formula[:40])
+    for formula in ("<" + "(skip; " * 2000 + "skip" + ")" * 2000 + ">true",
+                    "<" + "if p then skip + " * 2000 + "skip" + " else skip" * 2000 + ">true"):
         code, out, err = run_cli(capsys, "check", "--model", model_file, "--formula", formula)
-        assert (code, err) == (0, "") and out in ("true\n", "false\n")
-    code, out, err = run_cli(capsys, "check", "--model", model_file,
-                             "--formula", "(" * 2000 + "p" + ")" * 2000)
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and "nested too deeply" in err
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "nested too deeply" in err
+    code, out, err = run_cli(capsys, "run", "--model", model_file, "--program",
+                             "(give(1,p,2) + skip; " * depth + "skip" + ")*" * depth)
+    assert code == 0 and err == "" and out
 
 
 def test_nf_of_many_allocations_emits_its_formula(capsys):

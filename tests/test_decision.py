@@ -130,17 +130,17 @@ def test_one_fit_check_per_query(monkeypatch):
     # per query, not once per model
     calls = []
 
-    def counting(node):
-        calls.append(node)
-        return real(node)
+    def counting(*roots):
+        calls.append(roots)
+        return real(*roots)
 
     real = syntax._walk  # what ensure_fits calls: one walk lists the nodes and names
     monkeypatch.setattr(syntax, "_walk", counting)
     real_walk = semantics._Tables.walk  # over a small signature, one walk also builds the tables
 
-    def counting_walk(tables, node):
-        calls.append(node)
-        return real_walk(tables, node)
+    def counting_walk(tables, *roots):
+        calls.append(roots)
+        return real_walk(tables, *roots)
 
     monkeypatch.setattr(semantics._Tables, "walk", counting_walk)
     sig = Signature(("1", "2"), ("p", "q"))

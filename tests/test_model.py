@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from propctl.model import (
     Allocation,
     CValuation,
+    DirectModel,
     Signature,
     SignatureError,
     Valuation,
@@ -206,3 +209,20 @@ def test_valuation_bit_encoding_matches_names():
         names = frozenset(v for v in sig.vars if rng.random() < 0.5)
         val = Valuation.from_true_vars(sig, names)
         assert frozenset(val.true_vars()) == names
+
+
+def test_equal_signatures_from_model_files_are_one_object():
+    a = parse_model("agents: 1 2\nvars: p q\nowns 1: p\nowns 2: q\ntrue: p\n")
+    b = parse_model("vars: p q # reordered\nagents: 1 2\ntrue:\nowns 2: p q\nowns 1:\n")
+    assert a.sig is b.sig and a != b
+    assert model_from_dict(model_to_dict(b)).sig is a.sig
+    # sharing changes nothing else: a signature made afresh is equal, hashes,
+    # prints and pickles alike, and so does a model over it
+    fresh = Signature(("2", "1"), ("q", "p"))
+    assert fresh is not a.sig and fresh == a.sig and hash(fresh) == hash(a.sig)
+    assert repr(fresh) == repr(a.sig) == "Signature(agents=('1', '2'), vars=('p', 'q'))"
+    same = DirectModel(fresh, Allocation(fresh, a.alloc.owners), Valuation(fresh, a.val.bits))
+    assert same == a and hash(same) == hash(a) and repr(same) == repr(a)
+    for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+        assert pickle.dumps(twin) == pickle.dumps(same)

@@ -101,14 +101,65 @@ def test_prefix_run_applies_innermost_first():
 
 
 def test_deep_nesting_parses_or_is_refused():
+    # the parser keeps its own stack: formulas nest without bound
     f = parse_formula("~" * 3000 + "p")
     for _ in range(3000):
         f = f.body
     assert f == P
-    for parse, inner in ((parse_formula, "p"), (parse_program, "skip")):
-        with pytest.raises(ParseError, match="nested too deeply") as err:
-            parse("(" * 2000 + inner + ")" * 2000)
-        assert err.value.line == 1 and 1 < err.value.col <= 2000
+    assert parse_formula("(" * 2000 + "p" + ")" * 2000) == P
+    f = parse_formula("dia{1}(" * 2000 + "p" + ")" * 2000)
+    for _ in range(2000):
+        f = f.body
+    assert f == P
+    # a program holds at most _PROGRAM_DEPTH program frames one inside another,
+    # and the frame past the bound is refused at the token that opens it
+    depth = syntax._PROGRAM_DEPTH
+    assert parse_program("(" * (depth - 1) + "skip" + ")" * (depth - 1)) == Test(TOP)
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse_program("(" * 2000 + "skip" + ")" * 2000)
+    assert (err.value.line, err.value.col) == (1, depth)
+
+
+def test_program_nesting_bound():
+    depth, sig = syntax._PROGRAM_DEPTH, Signature(("1", "2"), ("p", "q"))
+    # per kind of frame: the text of n frames inside the outermost program,
+    # and the column of the frame's opening token
+    shapes = [
+        (lambda n: "(skip; " * n + "skip" + ")" * n, lambda k: 1 + 7 * k),
+        (lambda n: "if p then skip + " * n + "skip" + " else skip" * n, lambda k: 1 + 17 * k),
+        (lambda n: "while p do " * n + "skip", lambda k: 1 + 11 * k),
+        (lambda n: "repeat " * n + "skip" + " until p" * n, lambda k: 1 + 7 * k),
+        (lambda n: "(give(1,p,2) + skip; " * n + "skip" + ")*" * n, lambda k: 1 + 21 * k),
+    ]
+    for text, column in shapes:
+        parse_program(text(depth - 1), sig)
+        with pytest.raises(ParseError) as err:
+            parse_program(text(depth), sig)
+        assert (err.value.message, err.value.line, err.value.col) == (
+            f"nested too deeply: over {depth} program frames", 1, column(depth - 1))
+    # "<" opens a program frame, and a formula between frames starts the count again
+    parse_formula("<" + "(skip; " * (depth - 1) + "skip" + ")" * (depth - 1) + ">true")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula("<" + "(skip; " * depth + "skip" + ")" * depth + ">true")
+    inner = "skip"
+    for _ in range(3):  # "(<...>true)?" is a group in program position too
+        inner = "(skip; " * (depth - 2) + f"(<{inner}>true)?" + ")" * (depth - 2)
+    parse_program(inner)
+
+
+def test_deep_texts_are_refused_in_linear_time():
+    depth = syntax._PROGRAM_DEPTH
+    for text, want in [
+        ("(" * 100_000, ("expected a formula, got 'end of input'", 100_001)),
+        ("~(" * 100_000 + "p", ("expected ')', got 'end of input'", 200_002)),
+        ("<(" * 100_000, ("expected a formula, got 'end of input'", 200_001)),
+        ("<" + "(" * 100_000, (f"nested too deeply: over {depth} program frames", depth + 1)),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:  # and no RecursionError
+            parse_formula(text)
+        assert time.perf_counter() - start < 2.0
+        assert (err.value.message, err.value.col) == want
 
 
 def test_lexer_positions_golden():
@@ -191,14 +242,17 @@ def test_one_call_lexer_reads_what_the_positioned_lexer_reads():
     for _ in range(4000):
         text = "".join(rng.choice(_LEX_PIECES) for _ in range(rng.randrange(1, 25)))
         try:
-            want = [(t.kind, t.text) for t in syntax._tokenize(text)]
+            tokens = syntax._tokenize(text)
         except ParseError as err:
             refused += 1
             at = (err.message, err.line, err.col)
             for read in (syntax._lex, parse_formula, parse_program):
                 assert _error(read, text) == at, (read, text)
             continue
-        assert syntax._lex(text) == want, text
+        # the parser reads a lexeme's kind from its text: a name is no other kind
+        assert syntax._lex(text) == [t.text for t in tokens], text
+        assert [t.kind == "name" for t in tokens] == [
+            t.text not in syntax._NOT_NAME for t in tokens], text
     assert 400 < refused < 3600  # both paths are exercised
 
 
@@ -300,23 +354,24 @@ def test_parenthesized_groups_golden():
 
 
 def test_nested_groups_parse_in_linear_time(monkeypatch):
-    calls = 0
-    base = syntax._Parser.base
+    reads = 0
 
-    def counting_base(parser):
-        nonlocal calls
-        calls += 1
-        return base(parser)
+    class Counting(list):  # counts the parser's reads of the lexemes
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return list.__getitem__(self, i)
 
-    monkeypatch.setattr(syntax._Parser, "base", counting_base)
+    lex = syntax._lex
+    monkeypatch.setattr(syntax, "_lex", lambda text: Counting(lex(text)))
     for levels in (10, 14, 40):
         text = "skip"
         for _ in range(levels):
             text = f"((<{text}>true)?; skip)"
-        calls = 0
+        reads = 0
         parse_program(text)
-        # a parser that backtracks at "(" doubles the count per level
-        assert calls <= 4 * levels, (levels, calls)
+        # a parser that backtracks at "(" reads each level's lexemes again
+        assert reads <= 4 * len(lex(text)), (levels, reads)
 
 
 def test_choice_binds_weaker_than_seq():
@@ -540,6 +595,13 @@ def test_render_long_conjunction_chains():
     assert render(chain) == "~(~" * 4999 + "p" + " | ~p)" * 4999
     mixed = parse_formula(" & ".join(["(p | q | ~r)", "~~dia{1} p"] * 2500))
     assert render(mixed).startswith("~(~" * 4999 + "(p | q | ~r) | ~~~dia{1}(p))")
+
+
+def test_long_conjunction_chains_parse_back():
+    # render nests one parenthesis per link of an "&" chain
+    for n in (250, 1000, 5000):
+        chain = parse_formula(" & ".join(f"p{i % 7}" for i in range(n)))
+        assert parse_formula(render(chain)) == chain
 
 
 def test_hash_and_eq_are_linear_on_shared_sugar():

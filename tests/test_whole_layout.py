@@ -157,3 +157,31 @@ def test_objects_that_are_no_node_are_refused_alike(monkeypatch, f):
                 query()
             errors.append(str(err.value))
     assert errors == [errors[0]] * 4 and errors[0] == "not a formula or program: 3"
+
+
+def test_several_roots_are_walked_without_a_join(monkeypatch):
+    # equivalent and the second-order characterization read one table per
+    # root, and no table joins the roots
+    sig = signature(2, 2)
+    m = DirectModel(sig, Allocation.from_index(sig, 1), Valuation(sig, 2))
+    p, q = Atom("p0"), Dia({"1"}, Atom("p1"))
+    built = []
+    real = semantics._Tables.build
+
+    def counting(self, node):
+        built.append(node)
+        return real(self, node)
+
+    monkeypatch.setattr(semantics._Tables, "build", counting)
+    for whole_shape in (semantics._WHOLE_SHAPE, OFF):
+        monkeypatch.setattr(semantics, "_WHOLE_SHAPE", whole_shape)
+        built.clear()
+        assert not equivalent(p, q, sig)
+        assert sorted(map(id, built)) == sorted(map(id, [p, q, q.body]))
+        built.clear()
+        characterize_second_order(sig, m.alloc, m.val, "1", q)
+        assert Or not in map(type, built)
+        # a refusal still names every name outside the signature, in every root
+        with pytest.raises(SignatureError) as err:
+            equivalent(Dia({"9"}, Atom("zz")), Or(Atom("yy"), Dia({"8"}, p)), sig)
+        assert str(err.value) == "outside the signature: variable(s) yy, zz; agent(s) 8, 9"
