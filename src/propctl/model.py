@@ -207,14 +207,18 @@ class Allocation(Value):
 
     @classmethod
     def from_map(cls, sig: Signature, owner_by_var: Mapping[str, str]) -> Allocation:
-        missing = [p for p in sig.vars if p not in owner_by_var]
-        if missing:
-            raise SignatureError(f"unowned variable(s): {', '.join(missing)}")
-        extra = [p for p in owner_by_var if p not in sig.var_index]
-        if extra:
+        if owner_by_var.keys() != sig.var_index.keys():
+            missing = [p for p in sig.vars if p not in owner_by_var]
+            if missing:
+                raise SignatureError(f"unowned variable(s): {', '.join(missing)}")
+            extra = [p for p in owner_by_var if p not in sig.var_index]
             raise SignatureError(f"unknown variable(s): {', '.join(sorted(extra))}")
-        return cls(sig, tuple(_position(sig.agent_index, owner_by_var[p], "agent")
-                              for p in sig.vars))
+        agent_index = sig.agent_index
+        try:
+            return cls(sig, tuple(agent_index[owner_by_var[p]] for p in sig.vars))
+        except KeyError:  # name the first unknown owner
+            return cls(sig, tuple(_position(agent_index, owner_by_var[p], "agent")
+                                  for p in sig.vars))
 
     def owner(self, var: str) -> str:
         return self.sig.agents[self.owners[_position(self.sig.var_index, var, "variable")]]
@@ -396,19 +400,14 @@ _signature = lru_cache(maxsize=256)(Signature)
 
 
 def model_from_dict(data: Mapping) -> DirectModel:
-    """The model of ``model_to_dict``'s record.  Each variable's owner index
-    is read from the owns lists, and the valuation's bits from the true list."""
     sig = _signature(tuple(data["agents"]), tuple(data["vars"]))
-    agent_index = sig.agent_index
-    owner: dict[str, int] = {}
+    owner_by_var: dict[str, str] = {}
     for agent, owned in data["owns"].items():
-        if agent not in agent_index:
+        if agent not in sig.agent_index:
             raise SignatureError(f"owns entry for unknown agent {agent!r}")
         for p in owned:
-            if p in owner:
+            if p in owner_by_var:
                 raise SignatureError(f"variable {p!r} owned twice")
-            owner[p] = agent_index[agent]
-    if owner.keys() != sig.var_index.keys():
-        Allocation.from_map(sig, owner)  # raises its error for an unowned or unknown variable
-    return DirectModel(sig, Allocation(sig, tuple(map(owner.__getitem__, sig.vars))),
+            owner_by_var[p] = agent
+    return DirectModel(sig, Allocation.from_map(sig, owner_by_var),
                        Valuation.from_true_vars(sig, data["true"]))

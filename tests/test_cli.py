@@ -392,28 +392,41 @@ def test_long_conjunction_chain_is_answered(model_file, capsys):
 
 
 def test_deep_nesting_is_answered_or_refused(model_file, capsys):
+    # prefix runs and chains are read in loops; parentheses nest frames
+    for formula in ("~" * 3000 + "p", "<" + "; ".join(["skip"] * 1000) + ">true",
+                    "<give(1,p,2)" + "*" * 1500 + ">true"):
+        code, out, err = run_cli(capsys, "check", "--model", model_file, "--formula", formula)
+        assert (code, err) == (0, "") and out == "true\n"
     # the parser keeps its own stack, so formulas nest without bound; a
     # program holds at most _PROGRAM_DEPTH program frames one inside another,
-    # which the program interpreter evaluates without running out of stack
+    # which the program interpreter evaluates without running out of stack.
+    # Each case: the text, then the exit codes of check and controls.
     depth = syntax._PROGRAM_DEPTH - 1  # frames inside the one "<" opens
-    for formula in ("~" * 3000 + "p", "<" + "; ".join(["skip"] * 1000) + ">true",
-                    "<give(1,p,2)" + "*" * 1500 + ">true", "(" * 2000 + "p" + ")" * 2000,
-                    "dia{1}(" * 2000 + "p" + ")" * 2000,
-                    "<" + "(skip; " * depth + "skip" + ")" * depth + ">true",
-                    "<" + "if p then skip + " * depth + "skip" + " else skip" * depth + ">true",
-                    "<" + "while p do skip + skip; " * depth + "skip" + "*" * depth + ">true"):
-        for command in ("check", "controls --second-order --agent 1"):
-            code, out, err = run_cli(capsys, *command.split(), "--model", model_file,
-                                     "--formula", formula)
-            assert code in (0, 1) and err == "" and out, (command, formula[:40])
+    for formula, check_code, controls_code in (
+            ("(" * 2000 + "p" + ")" * 2000, 0, 0),
+            ("dia{1}(" * 2000 + "p" + ")" * 2000, 0, 1),
+            ("<" + "(skip; " * depth + "skip" + ")" * depth + ">true", 0, 1),
+            ("<" + "if p then skip + " * depth + "skip" + " else skip" * depth + ">true", 0, 1),
+            ("<" + "while p do skip + skip; " * depth + "skip" + "*" * depth + ">true", 1, 0)):
+        code, out, err = run_cli(capsys, "check", "--model", model_file, "--formula", formula)
+        assert (code, out, err) == (check_code, ("true\n", "false\n")[check_code], ""), formula[:40]
+        code, out, err = run_cli(capsys, "controls", "--second-order", "--agent", "1",
+                                 "--model", model_file, "--formula", formula)
+        answer = ("true", "false")[controls_code]
+        assert (code, err) == (controls_code, ""), formula[:40]
+        assert out == (f"second-order control: {answer}\ncharacterization: {answer}\n"
+                       "agreement: true\n"), formula[:40]
     for formula in ("<" + "(skip; " * 2000 + "skip" + ")" * 2000 + ">true",
                     "<" + "if p then skip + " * 2000 + "skip" + " else skip" * 2000 + ">true"):
         code, out, err = run_cli(capsys, "check", "--model", model_file, "--formula", formula)
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "nested too deeply" in err
+    # at the bound, run reaches what the one-level program reaches
     code, out, err = run_cli(capsys, "run", "--model", model_file, "--program",
                              "(give(1,p,2) + skip; " * depth + "skip" + ")*" * depth)
-    assert code == 0 and err == "" and out
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "run", "--model", model_file,
+                          "--program", "(give(1,p,2) + skip)*")[1]
 
 
 def test_nf_of_many_allocations_emits_its_formula(capsys):
