@@ -480,27 +480,54 @@ class _Tables:
         of the tests on the way.  ``forward`` reads the program the other
         way round: per position, the join of the rows at the positions a
         run reaches it from, so a table holding only the model's row gives
-        the positions a run reaches from the model."""
-        kind = type(p)
-        if kind is Give:
-            key = p.giver, p.var, p.receiver, forward
-            shift, own = self.masks.get(key) or self.step(key)
-            return (table >> shift if shift >= 0 else table << -shift) & own
-        if kind is Test:
-            return self.value(p.condition) & table
-        if kind is Seq:  # a chain of steps in a loop, the last one first unless forward
-            steps = operands(p)
-            for step in steps if forward else reversed(steps):
-                table = self.pre(step, table, forward)
-            return table
-        if kind is Choice:
-            return reduce(or_, (self.pre(arm, table, forward) for arm in operands(p)))
-        while type(p.body) is Star:  # Star: (x*)* is x*, so a run of stars costs no recursion
-            p = p.body
-        x = table
-        while (step := table | self.pre(p.body, x, forward)) != x:
-            x = step
-        return x
+        the positions a run reaches from the model.
+
+        It keeps its own stack, so programs nest without bound and no
+        nesting costs a Python frame.  A frame ``[kind, parts, start, join]``
+        is a compound program that ``p`` is in: the parts of its chain still
+        to apply, popped from the end, the table its arms start from and
+        their join; a star's holds its body and what its rounds reached.  A
+        round applies the body only to what the last one added, which is
+        exact since ``pre`` of a join is the join of the ``pre``s; applying
+        it to all reached would at least double the time per nested star."""
+        masks, frames = self.masks, []
+        while True:  # apply ``p`` to the table, or push its frame
+            kind = type(p)
+            if kind is Give:
+                key = p.giver, p.var, p.receiver, forward
+                shift, own = masks.get(key) or self.step(key)
+                table = (table >> shift if shift >= 0 else table << -shift) & own
+            elif kind is Test:
+                table &= self.value(p.condition)
+            elif kind is Star:  # (x*)* is x*, so a run of stars is one frame
+                while type(p) is Star:
+                    p = p.body
+                frames.append([Star, p, table, 0])
+                continue
+            else:  # a chain of arms, or of steps: the last step first unless forward
+                parts = operands(p)
+                if forward and kind is Seq:
+                    parts.reverse()
+                p = parts.pop()
+                frames.append([kind, parts, table, 0])
+                continue
+            while frames:  # the top frame's part is done: its next part, or its end
+                kind, parts, start, join = frame = frames[-1]
+                if kind is Star:  # another round, on what the last one added
+                    if table := table & ~start:
+                        frame[2], p = start | table, parts
+                        break
+                    table = start
+                elif parts:  # the next step, or the next arm, from the start
+                    if kind is Choice:
+                        frame[3], table = join | table, start
+                    p = parts.pop()
+                    break
+                else:
+                    table |= join  # a choice's arms joined (a chain of steps keeps 0)
+                frames.pop()
+            else:
+                return table
 
     def step(self, key: tuple) -> tuple[int, int]:
         """The step of the handover ``(giver, var, receiver, forward)``: the

@@ -37,9 +37,8 @@ The parser is one operator-precedence loop over an explicit stack (see
 ``_read``): a prefix run and the infix operators waiting for an operand are
 entries on it, and every construct that nests (a group, ``<p>``/``[p]``, a
 call's formula argument, the parts of if/while/repeat) is a frame on it, so
-nesting costs no Python frame.  Formulas nest without bound; a program
-holds at most ``_PROGRAM_DEPTH`` program frames one inside another, since
-the program interpreter recurses once per level.
+nesting costs no Python frame.  Formulas and programs nest without bound,
+as the program interpreter keeps its own stack too.
 """
 
 from __future__ import annotations
@@ -425,13 +424,12 @@ def _lex(text: str) -> list[str]:
 # prefix one (``~``, ``dia{C}``, ``<p>``...) with its coalition or program.
 # An operator entry is a tuple ``(level, constructor, left)``; ``left`` is
 # None for ``~``, and a prefix run is a run of entries of ``_PREFIX_LEVEL``.
-# A frame is a list ``[0, tag, data, sort, depth, ...]``: level 0 stops
-# every reduction, ``data`` is what the frame has read or will apply, and
-# ``sort`` and ``depth`` are those of the frame below it, which its end
-# restores.  A frame is one of: the whole text; a parenthesized formula, or
-# a call's formula argument; a program between ``<`` and ``>`` (or ``[``
-# and ``]``); a group in program position; and the parts of an ``if``,
-# ``while`` or ``repeat``.
+# A frame is a list ``[0, tag, data, sort]``: level 0 stops every
+# reduction, ``data`` is what the frame has read or will apply, and
+# ``sort`` is that of the frame below it, which its end restores.  A frame
+# is one of: the whole text; a parenthesized formula, or a call's formula
+# argument; a program between ``<`` and ``>`` (or ``[`` and ``]``); a group
+# in program position; and the parts of an ``if``, ``while`` or ``repeat``.
 #
 # The loop alternates two steps.  It reads an operand: a prefix operator is
 # pushed, an opening token pushes a frame, and a flat token (a name, a
@@ -465,15 +463,6 @@ _FORMULA, _PROGRAM = ({tok: (level, build, level + right)
 
 # Every lexeme that is not a name: the symbols, the keywords, and the end.
 _NOT_NAME = frozenset(("<->", "->", *"(){}[]<>~&|;+*?,", *KEYWORDS, ""))
-
-# The most program frames one inside another: the whole program or the one
-# between ``<`` and ``>``, and within it each group in program position and
-# each ``if``, ``while`` or ``repeat``.  A formula between them (in a test)
-# starts the count again.  The program interpreter (``semantics._Tables.pre``)
-# recurses once per level, so deeper programs are refused here: at 100
-# levels the deepest shape measured, ``if`` branches that are choices, takes
-# about 650 Python frames of the default limit of 1,000 (Python 3.11).
-_PROGRAM_DEPTH = 100
 
 # Frame tags.  An ``if`` frame reads its condition, then (_THEN) its
 # then-branch and (_ELSE) its else-branch; ``while`` its condition and (_DO)
@@ -524,10 +513,9 @@ def _coalition(lexemes: list[str], i: int) -> tuple[frozenset[str], int]:
 
 def _read(lexemes: list[str], sig: Signature | None, sort: dict):
     """The AST of all of the lexemes, read as a ``sort`` (see above)."""
-    # what the top frame reads now, _FORMULA or _PROGRAM (None in a group
-    # that its leading group decides), and its depth if it reads a program
-    depth = 1 if sort is _PROGRAM else 0
-    stack = [[0, _WHOLE, None, None, None]]
+    # ``sort`` is what the top frame reads now, _FORMULA or _PROGRAM (None
+    # in a group that its leading group decides)
+    stack = [[0, _WHOLE, None, None]]
     push, pop, i = stack.append, stack.pop, 0
     while True:
         tok = lexemes[i]
@@ -535,7 +523,7 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
             if tok not in _NOT_NAME:
                 x, i = Atom(tok), i + 1
             elif tok == "(":
-                push([0, _PAREN, None, sort, depth])
+                push([0, _PAREN, None, sort])
                 i += 1
                 continue
             elif tok == "~":
@@ -543,8 +531,8 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
                 i += 1
                 continue
             elif tok == "<" or tok == "[":
-                push([0, _DIAMOND, tok, sort, depth])
-                sort, depth, i = _PROGRAM, 1, i + 1
+                push([0, _DIAMOND, tok, sort])
+                sort, i = _PROGRAM, i + 1
                 continue
             elif tok == "dia" or tok == "box":
                 if lexemes[i + 1] != "{":
@@ -558,7 +546,7 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
                 x, i = bottom(), i + 1
             elif tok == "controls":
                 coalition, i = _coalition(lexemes, _skip(lexemes, i + 1, "("))
-                push([0, _PAREN, partial(controls, coalition), sort, depth])
+                push([0, _PAREN, partial(controls, coalition), sort])
                 i = _skip(lexemes, i, ",")
                 continue
             elif tok == "CONTROLS":
@@ -567,21 +555,14 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
                 i = _skip(lexemes, i + 1, "(")
                 agent = _name(lexemes, i, "agent name")
                 i = _skip(lexemes, i + 1, ",")
-                push([0, _PAREN, lambda body, agent=agent: second_order_controls(agent, body, sig),
-                      sort, depth])
+                push([0, _PAREN, partial(second_order_controls, agent, sig=sig), sort])
                 continue
             else:
                 raise _Refusal(f"expected a formula, got {tok or 'end of input'!r}", i)
         elif tok == "(":  # a group: a program, or a formula that "?" makes a test
-            while True:  # a leading "(" opens a group that the group's value decides
-                if depth >= _PROGRAM_DEPTH:
-                    raise _Refusal(f"nested too deeply: over {_PROGRAM_DEPTH} program frames", i)
-                push([0, _GROUP, None, sort, depth])
-                depth, i = depth + 1, i + 1
-                if lexemes[i] != "(":
-                    break
-                sort = None
-            sort = _PROGRAM if lexemes[i] in _PROGRAM_KEYWORDS else _FORMULA
+            push([0, _GROUP, None, sort])
+            tok, i = lexemes[i + 1], i + 1  # a leading "(" opens a group its value decides
+            sort = None if tok == "(" else _PROGRAM if tok in _PROGRAM_KEYWORDS else _FORMULA
             continue
         elif tok == "give":
             i = _skip(lexemes, i + 1, "(")
@@ -595,7 +576,7 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
             x, i = Test(TOP), i + 1
         elif tok == "test":
             i = _skip(lexemes, i + 1, "(")
-            push([0, _PAREN, Test, sort, depth])
+            push([0, _PAREN, Test, sort])
             sort = _FORMULA
             continue
         elif tok == "fail":
@@ -614,11 +595,9 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
                 raise _Refusal("giveall needs a non-empty giving coalition", start)
             x = give_program(givers, receivers, sig)
         elif tok in _BODIES:
-            if depth >= _PROGRAM_DEPTH:
-                raise _Refusal(f"nested too deeply: over {_PROGRAM_DEPTH} program frames", i)
             tag, part = _BODIES[tok]
-            push([0, tag, None, sort, depth, depth + 1])
-            sort, depth, i = part, depth + 1, i + 1
+            push([0, tag, None, sort])
+            sort, i = part, i + 1
             continue
         else:
             raise _Refusal(f"expected a program, got {tok or 'end of input'!r}", i)
@@ -644,9 +623,7 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
             frame = stack[-1]
             tag = frame[1]
             if tag == _PAREN:
-                if tok != ")":
-                    raise _expected(lexemes, i, "')'")
-                i += 1
+                i = _skip(lexemes, i, ")")
                 pop()
                 if frame[2] is not None:
                     x = frame[2](x)
@@ -654,17 +631,15 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
                 i = _skip(lexemes, i, ">" if frame[2] == "<" else "]")
                 pop()
                 push((_PREFIX_LEVEL, _PREFIX[frame[2]], x))
-                sort, depth = frame[3], frame[4]
+                sort = frame[3]
                 break
             elif tag == _GROUP:
-                if tok != ")":
-                    raise _expected(lexemes, i, "')'")
-                i += 1
+                i = _skip(lexemes, i, ")")
                 pop()
                 if frame[3] is None:  # the leading group of a group
                     if isinstance(x, Formula) and lexemes[i] == "?":
                         x, i = Test(x), i + 1
-                    sort, depth = _PROGRAM if isinstance(x, Program) else _FORMULA, frame[4]
+                    sort = _PROGRAM if isinstance(x, Program) else _FORMULA
                     continue
                 if isinstance(x, Formula):
                     x, i = Test(x), _skip(lexemes, i, "?")
@@ -677,7 +652,7 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
                 if tok != word:
                     raise _Refusal(f"expected {word!r}", i)
                 frame[2] = x if frame[2] is None else (frame[2], x)
-                depth, i = frame[5], i + 1
+                i += 1
                 break
             else:
                 pop()
@@ -690,7 +665,7 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
                 else:  # _UNTIL
                     body = frame[2]
                     x = Seq(Seq(body, Star(Seq(Test(Not(x)), body))), Test(x))
-            sort, depth = frame[3], frame[4]
+            sort = frame[3]
 
 
 def _parse(text: str, sig: Signature | None, sort: dict):
@@ -792,9 +767,10 @@ _P_CHOICE, _P_SEQ, _P_STAR, _P_BASE = 1, 2, 3, 4
 
 
 def _render_formula(f: Formula, level: int) -> str:
-    """The formula's text.  Its left spine, through runs of negations and
-    the first operands of disjunctions, is walked in a loop: ``&`` is
-    ``~(~a | ~b)``, so a chain of ``&`` costs no frame per link."""
+    """The formula's text.  Its left spine, through runs of negations, the
+    first operands of disjunctions and the bodies of diamonds, is walked in
+    a loop: ``&`` is ``~(~a | ~b)``, so a chain of ``&`` costs no frame per
+    link, nor does a chain of diamonds."""
     head, tail = [], []  # text before the spine's next node, and after it (reversed)
     while True:
         kind = type(f)
@@ -809,21 +785,17 @@ def _render_formula(f: Formula, level: int) -> str:
             first, *rest = operands(f) if type(f.left) is Or else (f.left, f.right)
             tail.append("".join([" | " + _render_formula(g, _F_UNARY) for g in rest]))
             f, level = first, _F_UNARY
+        elif kind is Dia or kind is DiaProg:
+            head.append("dia{" + ",".join(sorted(f.coalition)) + "}(" if kind is Dia
+                        else "<" + _render_program(f.program, _P_CHOICE) + ">(")
+            tail.append(")")
+            f, level = f.body, _F_OR
+        elif kind is Top or kind is Atom:
+            head.append("true" if kind is Top else f.name)
+            tail.reverse()
+            return "".join(head + tail)
         else:
-            break
-    if kind is Top:
-        text = "true"
-    elif kind is Atom:
-        text = f.name
-    elif kind is Dia:
-        text = "dia{" + ",".join(sorted(f.coalition)) + "}(" + _render_formula(f.body, _F_OR) + ")"
-    elif kind is DiaProg:
-        text = ("<" + _render_program(f.program, _P_CHOICE) + ">("
-                + _render_formula(f.body, _F_OR) + ")")
-    else:
-        raise TypeError(f"not a core formula: {f!r}")
-    tail.reverse()
-    return "".join(head) + text + "".join(tail)
+            raise TypeError(f"not a core formula: {f!r}")
 
 
 def _render_program(p: Program, level: int) -> str:

@@ -6,20 +6,18 @@ message, line and column of every text, with no signature and with one.
 the recursive-descent parser that the frame-stack parser replaced, so these
 outcomes are that parser's.  Only nesting differs on purpose: that parser
 refused any text nested past its Python stack ("nested too deeply"), where
-the frame-stack parser reads formulas nested without bound and refuses only
-programs nested over ``syntax._PROGRAM_DEPTH`` program frames.  So a text
-refused that way must now give the AST built directly or be refused at the
-bound, and the one program that parser read and the bound refuses (300
-wrapper groups) is named.
+the frame-stack parser reads formulas and programs nested without bound.
+So a text refused that way must now give the AST built directly.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
-from propctl import render, serialize_model, syntax
+from propctl import render, serialize_model
 from propctl.model import Signature, SignatureError
-from propctl.syntax import Atom, Dia, ParseError, parse_formula, parse_model, parse_program
+from propctl.syntax import (TOP, Atom, Dia, DiaProg, ParseError, Seq, Test, parse_formula,
+                            parse_model, parse_program)
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,14 +48,20 @@ def model_outcome(text):
 
 def nested(text):
     """The AST of a corpus text nested past the recording parser's stack,
-    built directly: ``(`` or ``dia{1}(`` taken n times around ``p``."""
-    for opener, wrap in (("(", lambda f: f), ("dia{1}(", lambda f: Dia({"1"}, f))):
+    built directly: ``(`` or ``dia{1}(`` taken n times around ``p``, ``(``
+    taken n times around ``skip``, or ``<`` and n times ``(skip; `` around
+    ``skip``, then ``>true``."""
+    skip = Test(TOP)
+    for before, opener, core, node, wrap, after in (
+            ("", "(", "p", Atom("p"), lambda f: f, ""),
+            ("", "dia{1}(", "p", Atom("p"), lambda f: Dia({"1"}, f), ""),
+            ("", "(", "skip", skip, lambda p: p, ""),
+            ("<", "(skip; ", "skip", skip, lambda p: Seq(skip, p), ">true")):
         n = text.count(opener)
-        if text == opener * n + "p" + ")" * n:
-            f = Atom("p")
+        if text == before + opener * n + core + ")" * n + after:
             for _ in range(n):
-                f = wrap(f)
-            return f
+                node = wrap(node)
+            return DiaProg(node, TOP) if before else node
     raise AssertionError(f"no known nesting: {text[:60]}")
 
 
@@ -65,7 +69,6 @@ def test_parse_golden_corpus():
     data = json.loads((DATA / "parse_golden.json").read_text(encoding="utf-8"))
     sig = Signature(*map(tuple, data["signature"]))
     readers = {"formula": parse_formula, "program": parse_program}
-    bound = ["parse", f"nested too deeply: over {syntax._PROGRAM_DEPTH} program frames"]
     compared = deep = 0
     for item in data["items"]:
         text = item["text"]
@@ -75,24 +78,10 @@ def test_parse_golden_corpus():
             continue
         for key, scope in (("bare", None), ("sig", sig)):
             read, want = readers[item["sort"]], item[key]
-            if want[:2] == ["parse", "nested too deeply"]:
-                # past the recording parser's stack: a formula nesting is
-                # read, a program nested over the bound is refused
-                try:
-                    node = read(text, scope)
-                except ParseError as err:
-                    assert [err.message, err.line] == [*bound[1:], 1], text[:60]
-                else:
-                    assert node == nested(text), text[:60]
+            if want[:2] == ["parse", "nested too deeply"]:  # past the recording parser's stack
+                assert read(text, scope) == nested(text), text[:60]
                 deep += 1
                 continue
-            got = outcome(read, text, scope)
-            if got[:2] == bound and want[0] == "ok":
-                # the one text the recording parser read and the bound refuses:
-                # 300 pure wrapper groups in a program
-                assert text == "(" * 300 + "skip" + ")" * 300
-                deep += 1
-                continue
-            assert got == want, (key, text)
+            assert outcome(read, text, scope) == want, (key, text)
             compared += 1
-    assert compared > 7000 and deep == 16
+    assert compared > 7000 and deep == 14

@@ -7,9 +7,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from propctl import syntax
+from propctl import kripke, semantics, syntax
 from propctl.axioms import formula_pool
-from propctl.model import Signature, SignatureError
+from propctl.model import Signature, SignatureError, enumerate_models
 from propctl.syntax import (
     Atom,
     Choice,
@@ -111,49 +111,39 @@ def test_deep_nesting_parses_or_is_refused():
     for _ in range(2000):
         f = f.body
     assert f == P
-    # a program holds at most _PROGRAM_DEPTH program frames one inside another,
-    # and the frame past the bound is refused at the token that opens it
-    depth = syntax._PROGRAM_DEPTH
-    assert parse_program("(" * (depth - 1) + "skip" + ")" * (depth - 1)) == Test(TOP)
-    with pytest.raises(ParseError, match="nested too deeply") as err:
-        parse_program("(" * 2000 + "skip" + ")" * 2000)
-    assert (err.value.line, err.value.col) == (1, depth)
+    # and so do programs: 2,000 wrapper groups are one skip
+    assert parse_program("(" * 2000 + "skip" + ")" * 2000) == Test(TOP)
 
 
-def test_program_nesting_bound():
-    depth, sig = syntax._PROGRAM_DEPTH, Signature(("1", "2"), ("p", "q"))
-    # per kind of frame: the text of n frames inside the outermost program,
-    # and the column of the frame's opening token
+def test_deep_programs_agree_with_kripke():
+    # programs nest without bound: each shape of nesting, wrapped in
+    # <prog>dia{2}p, gets the oracle's answer at every model of the 2x2
+    # signature.  Nested repeat is exponential in its depth, so it stops at 8.
+    sig = Signature(("1", "2"), ("p", "q"))
     shapes = [
-        (lambda n: "(skip; " * n + "skip" + ")" * n, lambda k: 1 + 7 * k),
-        (lambda n: "if p then skip + " * n + "skip" + " else skip" * n, lambda k: 1 + 17 * k),
-        (lambda n: "while p do " * n + "skip", lambda k: 1 + 11 * k),
-        (lambda n: "repeat " * n + "skip" + " until p" * n, lambda k: 1 + 7 * k),
-        (lambda n: "(give(1,p,2) + skip; " * n + "skip" + ")*" * n, lambda k: 1 + 21 * k),
+        lambda n: "(give(1,p,2); give(2,p,1); " * n + "give(1,p,2)" + ")" * n,
+        lambda n: "if q then give(1,p,2) + " * n + "skip" + " else give(2,p,1)" * n,
+        lambda n: "while controls(1,p) do " * n + "give(1,p,2) + give(1,q,2)",
+        lambda n: "(give(1,p,2) + skip; " * n + "skip" + ")*" * n,
+        lambda n: "repeat " * n + "give(1,p,2) + give(2,p,1)" + " until controls(2,p)" * n,
     ]
-    for text, column in shapes:
-        parse_program(text(depth - 1), sig)
-        with pytest.raises(ParseError) as err:
-            parse_program(text(depth), sig)
-        assert (err.value.message, err.value.line, err.value.col) == (
-            f"nested too deeply: over {depth} program frames", 1, column(depth - 1))
-    # "<" opens a program frame, and a formula between frames starts the count again
-    parse_formula("<" + "(skip; " * (depth - 1) + "skip" + ")" * (depth - 1) + ">true")
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse_formula("<" + "(skip; " * depth + "skip" + ")" * depth + ">true")
-    inner = "skip"
-    for _ in range(3):  # "(<...>true)?" is a group in program position too
-        inner = "(skip; " * (depth - 2) + f"(<{inner}>true)?" + ")" * (depth - 2)
-    parse_program(inner)
+    texts = {shape(n) for shape in shapes[:4] for n in [*range(1, 12), 60, 120]}
+    texts.update(shapes[4](n) for n in range(1, 9))
+    models = list(enumerate_models(sig))
+    assert len(texts) == 4 * 13 + 8 and len(models) == 16
+    for text in texts:
+        f = parse_formula(f"<{text}>dia{{2}}p", sig)
+        for m in models:
+            assert semantics.evaluate(m, f) == kripke.evaluate(kripke.pointed_of(m), f), (
+                text[:60], m)
 
 
 def test_deep_texts_are_refused_in_linear_time():
-    depth = syntax._PROGRAM_DEPTH
     for text, want in [
         ("(" * 100_000, ("expected a formula, got 'end of input'", 100_001)),
         ("~(" * 100_000 + "p", ("expected ')', got 'end of input'", 200_002)),
         ("<(" * 100_000, ("expected a formula, got 'end of input'", 200_001)),
-        ("<" + "(" * 100_000, (f"nested too deeply: over {depth} program frames", depth + 1)),
+        ("<" + "(" * 100_000, ("expected a formula, got 'end of input'", 100_002)),
     ]:
         start = time.perf_counter()
         with pytest.raises(ParseError) as err:  # and no RecursionError
@@ -581,6 +571,16 @@ def test_render_long_chains():
         node = parse(text)
         assert render(node) == text
         assert parse(render(node)) == node
+
+
+def test_render_deep_diamond_chains():
+    # the spine loop passes through diamond bodies: no frame per diamond
+    for opener, want in (("dia{1}(", "dia{1}("), ("<give(1,p,2)>(", "<give(1,p,2)>("),
+                         ("[give(1,p,2)]", "~<give(1,p,2)>(~")):
+        text = opener * 2000 + "p" + ")" * 2000 * opener.endswith("(")
+        node = parse_formula(text)
+        assert render(node) == want * 2000 + "p" + ")" * 2000
+        assert parse_formula(render(node)) == node
 
 
 def test_render_long_conjunction_chains():
