@@ -15,7 +15,7 @@ from .decision import (
     satisfiable,
     valid,
 )
-from .kripke import PointedKripkeModel, cross_check, pointed_of
+from .kripke import PointedKripkeModel, pointed_of
 from .model import (
     Allocation,
     CValuation,
@@ -27,7 +27,6 @@ from .model import (
     atomic_transfer,
     enumerate_allocations,
     enumerate_models,
-    enumerate_valuations,
     serialize_model,
 )
 from .normalform import (
@@ -36,7 +35,7 @@ from .normalform import (
     nf_to_formula,
     normal_form,
 )
-from .semantics import evaluate, in_relation, program_image, star_depth
+from .semantics import evaluate, program_image, star_depth
 from .syntax import (
     Atom,
     Choice,

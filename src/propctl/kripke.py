@@ -21,7 +21,6 @@ from .model import (
     SignatureError,
     Valuation,
     Value,
-    enumerate_allocations,
 )
 from .syntax import (
     Atom,
@@ -117,16 +116,3 @@ def evaluate(pm: PointedKripkeModel, formula: Formula) -> bool:
 
 def pointed_of(model: DirectModel) -> PointedKripkeModel:
     return PointedKripkeModel(model.sig, model.alloc, model.val)
-
-
-def cross_check(sig: Signature, formula: Formula) -> bool:
-    """Whether both evaluators agree on every (allocation, valuation) pair."""
-    from . import semantics
-
-    rows = semantics.truth_rows(formula, sig)
-    for alloc, row in zip(enumerate_allocations(sig), rows):
-        for bits in range(1 << len(sig.vars)):
-            pm = PointedKripkeModel(sig, alloc, Valuation(sig, bits))
-            if bool(row >> bits & 1) != _eval_k(pm, formula):
-                return False
-    return True

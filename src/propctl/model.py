@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 __all__ = [
     "SignatureError", "Signature", "Allocation", "Valuation", "DirectModel",
     "CValuation", "apply_cvaluation", "atomic_transfer",
-    "enumerate_allocations", "enumerate_valuations", "enumerate_models",
+    "enumerate_allocations", "enumerate_models",
     "model_count", "serialize_model", "model_to_dict", "model_from_dict",
     "is_valid_name",
 ]
@@ -350,16 +350,11 @@ def enumerate_allocations(sig: Signature) -> Iterator[Allocation]:
         yield Allocation.from_index(sig, idx)
 
 
-def enumerate_valuations(sig: Signature) -> Iterator[Valuation]:
-    for bits in range(1 << len(sig.vars)):
-        yield Valuation(sig, bits)
-
-
 def enumerate_models(sig: Signature) -> Iterator[DirectModel]:
     """Every (allocation, valuation) pair exactly once, allocation major."""
     for alloc in enumerate_allocations(sig):
-        for val in enumerate_valuations(sig):
-            yield DirectModel(sig, alloc, val)
+        for bits in range(1 << len(sig.vars)):
+            yield DirectModel(sig, alloc, Valuation(sig, bits))
 
 
 def model_count(sig: Signature) -> int:

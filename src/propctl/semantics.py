@@ -588,13 +588,6 @@ def program_image(model: DirectModel, program: Program) -> list[DirectModel]:
     return [DirectModel(model.sig, alloc, model.val) for alloc in allocs]
 
 
-def in_relation(start: DirectModel, end: DirectModel, program: Program) -> bool:
-    """Whether some run of the program takes the first model to the second."""
-    if start.sig != end.sig:
-        raise SignatureError("models live over different signatures")
-    return end in program_image(start, program)
-
-
 def star_depth(model: DirectModel, program: Program) -> int:
     """Rounds the iteration fixpoint needs to close from this model.
 

@@ -38,7 +38,9 @@ The parser is one operator-precedence loop over an explicit stack (see
 entries on it, and every construct that nests (a group, ``<p>``/``[p]``, a
 call's formula argument, the parts of if/while/repeat) is a frame on it, so
 nesting costs no Python frame.  Formulas and programs nest without bound,
-as the program interpreter keeps its own stack too.
+as the program interpreter keeps its own stack too.  ``render`` writes them
+back in one loop over a stack of its own: it follows each node's first
+part, and what comes after that part waits on the stack.
 """
 
 from __future__ import annotations
@@ -286,12 +288,6 @@ def _walk(*roots) -> tuple[list, frozenset[str], frozenset[str]]:
     return out, frozenset(props), frozenset(agents)
 
 
-def postorder(node) -> list:
-    """Every node object of a formula or program once, children first (see
-    ``_walk``)."""
-    return _walk(node)[0]
-
-
 def operands(node) -> list:
     """The operands of the left-leaning chain of the node's kind that the
     node heads, left to right (``a, b, c`` for ``(a | b) | c``), found in a
@@ -311,18 +307,15 @@ def signature_of(node) -> tuple[frozenset[str], frozenset[str]]:
     return _walk(node)[1:]
 
 
-def ensure_fits(node, sig: Signature) -> tuple[list, frozenset[str], frozenset[str]]:
+def ensure_fits(node, sig: Signature) -> None:
     """Raise ``SignatureError`` if the node names anything outside the
-    signature; otherwise return ``postorder(node)`` and the variables and
-    agents it names, all from one ``_walk``, so that a caller walking the
-    node next needs no second walk."""
-    nodes, props, agents = _walk(node)
+    signature."""
+    props, agents = _walk(node)[1:]
     parts = [f"{kind}(s) " + ", ".join(sorted(bad)) for kind, bad in
              (("variable", props.difference(sig.var_index)),
               ("agent", agents.difference(sig.agent_index))) if bad]
     if parts:
         raise SignatureError("outside the signature: " + "; ".join(parts))
-    return nodes, props, agents
 
 
 # ---------------------------------------------------------------------------
@@ -757,84 +750,83 @@ _MODEL_LISTS = frozenset(("agents", "vars", "true"))
 
 
 # ---------------------------------------------------------------------------
-# Rendering.  parse(render(x)) is structurally equal to x.
+# Rendering, in one loop over an explicit stack (see ``render``).
+# parse(render(x)) is structurally equal to x at any depth.
 
-_F_OR, _F_UNARY = 1, 2
-_P_CHOICE, _P_SEQ, _P_STAR, _P_BASE = 1, 2, 3, 4
-
-# A chain's first operand is not of the chain's kind, so all of its operands
-# render at the level of a right operand.
-
-
-def _render_formula(f: Formula, level: int) -> str:
-    """The formula's text.  Its left spine, through runs of negations, the
-    first operands of disjunctions and the bodies of diamonds, is walked in
-    a loop: ``&`` is ``~(~a | ~b)``, so a chain of ``&`` costs no frame per
-    link, nor does a chain of diamonds."""
-    head, tail = [], []  # text before the spine's next node, and after it (reversed)
-    while True:
-        kind = type(f)
-        if kind is Not:
-            head.append("~")
-            f, level = f.body, _F_UNARY
-        elif kind is Or:
-            if level > _F_OR:
-                head.append("(")
-                tail.append(")")
-            # a single link skips the call: with it, the axiom catalogue renders 11% slower
-            first, *rest = operands(f) if type(f.left) is Or else (f.left, f.right)
-            tail.append("".join([" | " + _render_formula(g, _F_UNARY) for g in rest]))
-            f, level = first, _F_UNARY
-        elif kind is Dia or kind is DiaProg:
-            head.append("dia{" + ",".join(sorted(f.coalition)) + "}(" if kind is Dia
-                        else "<" + _render_program(f.program, _P_CHOICE) + ">(")
-            tail.append(")")
-            f, level = f.body, _F_OR
-        elif kind is Top or kind is Atom:
-            head.append("true" if kind is Top else f.name)
-            tail.reverse()
-            return "".join(head + tail)
-        else:
-            raise TypeError(f"not a core formula: {f!r}")
-
-
-def _render_program(p: Program, level: int) -> str:
-    if isinstance(p, Give):
-        return f"give({p.giver},{p.var},{p.receiver})"
-    if isinstance(p, Test):
-        if p.condition == TOP:
-            return "skip"
-        if p.condition == Not(TOP):
-            return "fail"
-        return "(" + _render_formula(p.condition, _F_OR) + ")?"
-    if isinstance(p, Star):  # a run of stars, in a loop like negations
-        run = 0
-        while type(p) is Star:
-            p, run = p.body, run + 1
-        return _render_program(p, _P_BASE) + "*" * run
-    if isinstance(p, Seq):
-        if type(p.first) is Seq:
-            text = "; ".join([_render_program(q, _P_STAR) for q in operands(p)])
-        else:
-            text = _render_program(p.first, _P_STAR) + "; " + _render_program(p.second, _P_STAR)
-        return "(" + text + ")" if level > _P_SEQ else text
-    if isinstance(p, Choice):
-        if type(p.left) is Choice:
-            text = " + ".join([_render_program(q, _P_SEQ) for q in operands(p)])
-        else:
-            text = _render_program(p.left, _P_SEQ) + " + " + _render_program(p.right, _P_SEQ)
-        return "(" + text + ")" if level > _P_CHOICE else text
-    raise TypeError(f"not a core program: {p!r}")
+# A level says how tightly a place binds, and so whether a node there needs
+# parentheses; formula and program levels differ, so a level gives the sort.
+# Per chain kind: the separator, every operand's level (the first is not of
+# the chain's kind), and the loosest level that needs no parentheses.
+_F_OR, _F_UNARY, _P_CHOICE, _P_SEQ, _P_STAR, _P_BASE = range(1, 7)
+_CHAINS = {Or: (" | ", _F_UNARY, _F_OR), Seq: ("; ", _P_STAR, _P_SEQ),
+           Choice: (" + ", _P_SEQ, _P_CHOICE)}
 
 
 def render(node) -> str:
-    """Concrete syntax for a core formula or program, minimally parenthesized.
-
-    A shared subtree is written once per path: an n-operand ``<->`` chain
-    (154 nodes at n = 18) renders as text exponential in n, 3.8 MB at 18.
+    """Concrete syntax for a core formula or program, minimally parenthesized,
+    that parses back to it at any depth: one loop follows each node's first
+    part, and what comes after that part waits on a stack, as a text or as
+    a later part ``(text before it, node, level)``.  A shared subtree is
+    written once per path: an n-operand ``<->`` chain (154 nodes at n = 18)
+    renders as text exponential in n, 3.8 MB at 18.
     """
-    if isinstance(node, Formula):
-        return _render_formula(node, _F_OR)
-    if isinstance(node, Program):
-        return _render_program(node, _P_CHOICE)
-    raise TypeError(f"not a formula or program: {node!r}")
+    if not isinstance(node, (Formula, Program)):
+        raise TypeError(f"not a formula or program: {node!r}")
+    out, stack, level = [], [None], _F_OR if isinstance(node, Formula) else _P_CHOICE
+    write, push, pop = out.append, stack.append, stack.pop
+    while True:
+        kind = type(node)
+        if level <= _F_UNARY:  # a formula's place
+            if kind is Not:
+                write("~")
+                node, level = node.body, _F_UNARY
+                continue
+            if kind is Top or kind is Atom:
+                write("true" if kind is Top else node.name)
+            elif kind is Dia:
+                write("dia{" + ",".join(sorted(node.coalition)) + "}(")
+                push(")")
+                node, level = node.body, _F_OR
+                continue
+            elif kind is DiaProg:
+                write("<")
+                stack += ")", (">(", node.body, _F_OR)
+                node, level = node.program, _P_CHOICE
+                continue
+            elif kind is not Or:
+                raise TypeError(f"not a core formula: {node!r}")
+        elif kind is Give:
+            write(f"give({node.giver},{node.var},{node.receiver})")
+        elif kind is Test and node.condition != TOP and node.condition != Not(TOP):
+            write("(")
+            push(")?")
+            node, level = node.condition, _F_OR
+            continue
+        elif kind is Test:
+            write("skip" if node.condition == TOP else "fail")
+        elif kind is Star:  # a run of stars needs no parentheses: x** is Star(Star(x))
+            push("*")
+            node, level = node.body, _P_BASE
+            continue
+        elif kind is not Seq and kind is not Choice:
+            raise TypeError(f"not a core program: {node!r}")
+        if kind in _CHAINS:  # the node heads a chain of its kind
+            sep, inner, loosest = _CHAINS[kind]
+            if level > loosest:
+                write("(")
+                push(")")
+            node, last = node._values()
+            push((sep, last, inner))
+            if type(node) is kind:  # a call per link renders the catalogue 40% slower
+                node, *rest = operands(node)
+                stack += [(sep, part, inner) for part in reversed(rest)]
+            level = inner
+            continue
+        item = pop()  # a leaf: write the texts that wait, up to the next part
+        while type(item) is str:
+            write(item)
+            item = pop()
+        if item is None:
+            return "".join(out)
+        text, node, level = item
+        write(text)

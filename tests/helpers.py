@@ -1,11 +1,14 @@
-"""Shared test utilities: sample models and seeded random AST generators."""
+"""Shared test utilities: sample models, seeded random AST generators, and
+reference readings of the library that only tests use."""
 
 from __future__ import annotations
 
 import random
 
-from propctl.kripke import _pointed_image
-from propctl.model import DirectModel, Signature, enumerate_models
+from propctl.kripke import PointedKripkeModel, _eval_k, _pointed_image
+from propctl.model import (DirectModel, Signature, Valuation, enumerate_allocations,
+                           enumerate_models)
+from propctl.semantics import program_image, truth_rows
 from propctl.syntax import (
     Atom,
     Choice,
@@ -20,8 +23,11 @@ from propctl.syntax import (
     Star,
     Test,
     TOP,
+    _walk,
     conj_all,
+    parse_formula,
     parse_model,
+    parse_program,
 )
 
 SAMPLE_MODEL_TEXT = """\
@@ -40,6 +46,32 @@ def sample_model() -> DirectModel:
 
 def models_of(sig: Signature) -> list[DirectModel]:
     return list(enumerate_models(sig))
+
+
+def enumerate_valuations(sig: Signature) -> list[Valuation]:
+    return [Valuation(sig, bits) for bits in range(1 << len(sig.vars))]
+
+
+def postorder(node) -> list:
+    """Every node object of a formula or program once, children first (see
+    ``syntax._walk``)."""
+    return _walk(node)[0]
+
+
+def in_relation(start: DirectModel, end: DirectModel, program: Program) -> bool:
+    """Whether some run of the program takes the first model to the second."""
+    return end in program_image(start, program)
+
+
+def cross_check(sig: Signature, formula: Formula) -> bool:
+    """Whether both evaluators agree on every (allocation, valuation) pair."""
+    rows = truth_rows(formula, sig)
+    for alloc, row in zip(enumerate_allocations(sig), rows):
+        for bits in range(1 << len(sig.vars)):
+            pm = PointedKripkeModel(sig, alloc, Valuation(sig, bits))
+            if bool(row >> bits & 1) != _eval_k(pm, formula):
+                return False
+    return True
 
 
 def random_coalition(rng: random.Random, sig: Signature) -> frozenset[str]:
@@ -83,6 +115,21 @@ def random_formula(rng: random.Random, sig: Signature, depth: int) -> Formula:
         return Dia(random_coalition(rng, sig), random_formula(rng, sig, depth - 1))
     return DiaProg(random_program(rng, sig, min(depth - 1, 2)),
                    random_formula(rng, sig, depth - 1))
+
+
+def deep_texts(n: int) -> list[tuple]:
+    """Texts that nest n levels deep, each with its parser: an n-operand
+    ``->`` chain (right-nested), n right-nested ``|`` and ``&`` groups, and
+    n-level ``if``, ``while``, sequence and starred choice programs."""
+    return [
+        (parse_formula, " -> ".join(["p"] * n)),
+        (parse_formula, "(p | " * n + "p" + ")" * n),
+        (parse_formula, "(p & " * n + "p" + ")" * n),
+        (parse_program, "if q then give(1,p,2) + " * n + "skip" + " else give(2,p,1)" * n),
+        (parse_program, "while p do " * n + "give(1,p,2)"),
+        (parse_program, "(give(1,p,2); " * n + "give(1,p,2)" + ")" * n),
+        (parse_program, "(give(1,p,2) + skip; " * n + "skip" + ")*" * n),
+    ]
 
 
 def naming_everything(sig: Signature) -> Formula:

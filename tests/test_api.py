@@ -46,10 +46,10 @@ API = {
         Allocation Atom CValuation Choice Dia DiaProg DirectModel Formula Give
         NormalForm Not Or ParseError PointedKripkeModel Program Seq Signature
         SignatureError Star TOP Test Top Valuation apply_cvaluation atomic_transfer
-        characterize_second_order controls counterexample cross_check
+        characterize_second_order controls counterexample
         default_signature delegation_can_achieve enumerate_allocations
-        enumerate_models enumerate_valuations equivalent evaluate geq give_program
-        grand_coalition_control in_relation nf_to_formula normal_form parse_formula
+        enumerate_models equivalent evaluate geq give_program
+        grand_coalition_control nf_to_formula normal_form parse_formula
         parse_model parse_program pointed_of program_image render satisfiable
         second_order_controls serialize_model signature_of star_depth valid
     """,
@@ -76,7 +76,7 @@ API = {
     """,
     "kripke": """
         PointedKripkeModel PointedKripkeModel.alloc PointedKripkeModel.sig
-        PointedKripkeModel.world cross_check evaluate pointed_of
+        PointedKripkeModel.world evaluate pointed_of
     """,
     "model": """
         Allocation Allocation.controlled_mask
@@ -88,7 +88,7 @@ API = {
         Signature.var_index Signature.vars SignatureError Valuation Valuation.bits
         Valuation.from_true_vars Valuation.sig Valuation.true_vars Valuation.value
         apply_cvaluation atomic_transfer enumerate_allocations enumerate_models
-        enumerate_valuations is_valid_name model_count model_from_dict model_to_dict
+        is_valid_name model_count model_from_dict model_to_dict
         serialize_model
     """,
     "normalform": """
@@ -97,7 +97,7 @@ API = {
         valuation_description
     """,
     "semantics": """
-        evaluate in_relation program_image star_depth truth_rows
+        evaluate program_image star_depth truth_rows
     """,
     "syntax": """
         Atom Atom.name CHILDREN Choice Choice.left Choice.right Dia Dia.body
@@ -106,7 +106,7 @@ API = {
         Program Seq Seq.first Seq.second Star Star.body TOP Test Test.condition Top
         bottom box box_prog choice_all conj conj_all controls disj_all ensure_fits
         give_program iff implies nabla operands parse_formula parse_model
-        parse_program postorder render second_order_controls signature_of
+        parse_program render second_order_controls signature_of
     """,
 }
 

@@ -55,7 +55,7 @@ from propctl.syntax import (
     parse_program,
 )
 
-from helpers import random_formula
+from helpers import enumerate_valuations, random_formula
 
 SIG22 = Signature(("1", "2"), ("p", "q"))
 
@@ -196,7 +196,6 @@ def test_decision_agrees_with_table():
 # --- exactly-one and covering laws -------------------------------------------
 
 def test_valuation_descriptions_partition_truth():
-    from propctl.model import enumerate_valuations
     from propctl.normalform import valuation_description
 
     pis = [valuation_description(SIG22, v) for v in enumerate_valuations(SIG22)]

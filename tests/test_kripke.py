@@ -1,12 +1,12 @@
 import random
 
 from propctl import semantics
-from propctl.kripke import cross_check, evaluate, pointed_of
+from propctl.kripke import evaluate, pointed_of
 from propctl.model import Signature
 from propctl.syntax import TOP, conj, parse_formula
 
-from helpers import (kripke_depth, models_of, naming_everything, random_formula, random_program,
-                     sample_model)
+from helpers import (cross_check, kripke_depth, models_of, naming_everything, random_formula,
+                     random_program, sample_model)
 
 SIG22 = Signature(("1", "2"), ("p", "q"))
 

@@ -18,7 +18,7 @@ from propctl.model import (
     atomic_transfer,
 )
 from propctl.normalform import equivalent, normal_form
-from propctl.semantics import evaluate, in_relation, program_image, star_depth
+from propctl.semantics import evaluate, program_image, star_depth
 from propctl.syntax import (
     Atom,
     Choice,
@@ -39,12 +39,11 @@ from propctl.syntax import (
     give_program,
     parse_formula,
     parse_program,
-    postorder,
     second_order_controls,
 )
 
-from helpers import (kripke_depth, models_of, naming_everything, random_formula, random_program,
-                     sample_model)
+from helpers import (in_relation, kripke_depth, models_of, naming_everything, postorder,
+                     random_formula, random_program, sample_model)
 
 SIG22 = Signature(("1", "2"), ("p", "q"))
 
@@ -146,12 +145,6 @@ def test_star_relation_is_reflexive():
         for _ in range(10):
             prog = random_program(rng, SIG22, 2)
             assert in_relation(m, m, Star(prog))
-
-
-def test_in_relation_rejects_mismatched_signatures():
-    other = Signature(("1", "2"), ("p", "q", "z"))
-    with pytest.raises(SignatureError):
-        in_relation(sample_model(), next(iter(models_of(other))), Test(TOP))
 
 
 # --- semantic properties ----------------------------------------------------

@@ -12,12 +12,11 @@ import random
 
 import pytest
 
-from helpers import random_formula
+from helpers import cross_check, random_formula
 from propctl import semantics
 from propctl.axioms import formula_pool
 from propctl.control import characterize_second_order, grand_coalition_control
 from propctl.decision import counterexample, satisfiable, valid
-from propctl.kripke import cross_check
 from propctl.model import Allocation, Signature, enumerate_allocations, enumerate_models
 from propctl.normalform import equivalent, normal_form
 from propctl.syntax import parse_formula, render

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -34,12 +38,11 @@ from propctl.syntax import (
     parse_formula,
     parse_model,
     parse_program,
-    postorder,
     render,
     signature_of,
 )
 
-from helpers import random_coalition, random_formula, random_program
+from helpers import deep_texts, postorder, random_coalition, random_formula, random_program
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -571,16 +574,80 @@ def test_render_long_chains():
         node = parse(text)
         assert render(node) == text
         assert parse(render(node)) == node
+    # right-nested chains and groups, and nested programs: render keeps its
+    # own stack, so each nests 2,000 levels deep
+    for parse, text in deep_texts(2000):
+        node = parse(text)
+        assert parse(render(node)) == node, text[:40]
 
 
 def test_render_deep_diamond_chains():
-    # the spine loop passes through diamond bodies: no frame per diamond
+    # the loop passes through diamond bodies: no frame per diamond
     for opener, want in (("dia{1}(", "dia{1}("), ("<give(1,p,2)>(", "<give(1,p,2)>("),
                          ("[give(1,p,2)]", "~<give(1,p,2)>(~")):
         text = opener * 2000 + "p" + ")" * 2000 * opener.endswith("(")
         node = parse_formula(text)
         assert render(node) == want * 2000 + "p" + ")" * 2000
         assert parse_formula(render(node)) == node
+    # nor per test nested in a diamond's program
+    text = "(<" * 1000 + "(p)?" + ">true)?" * 1000
+    node = parse_program(text)
+    assert render(node) == "(<" * 1000 + "(p)?" + ">(true))?" * 1000
+    assert parse_program(render(node)) == node
+
+
+def test_render_refuses_a_node_of_the_wrong_sort():
+    # the formula and program levels overlap in number but not in sort: in
+    # every position, a node of the other sort is named
+    give, bad_give = Give("1", "p", "2"), "Give(giver='1', var='p', receiver='2')"
+    for node, want in [
+        (Not(give), "not a core formula: " + bad_give),
+        (Test(give), "not a core formula: " + bad_give),
+        (Dia({"1"}, give), "not a core formula: " + bad_give),
+        (DiaProg(give, give), "not a core formula: " + bad_give),
+        (Or(give, TOP), "not a core formula: " + bad_give),
+        (Or(TOP, 3), "not a core formula: 3"),
+        (Or(Or(TOP, TOP), Seq(give, give)), "not a core formula: Seq(first=" + bad_give
+         + ", second=" + bad_give + ")"),
+        (Seq(P, give), "not a core program: Atom(name='p')"),
+        (Seq(give, P), "not a core program: Atom(name='p')"),
+        (DiaProg(P, TOP), "not a core program: Atom(name='p')"),
+        (Star(TOP), "not a core program: Top()"),
+        (Star(Star(Or(TOP, TOP))), "not a core program: Or(left=Top(), right=Top())"),
+        (Choice(give, Not(TOP)), "not a core program: Not(body=Top())"),
+        (Choice(Choice(give, give), Dia({"1"}, P)),
+         "not a core program: Dia(coalition=frozenset({'1'}), body=Atom(name='p'))"),
+        (5, "not a formula or program: 5"),
+    ]:
+        with pytest.raises(TypeError) as err:
+            render(node)
+        assert str(err.value) == want
+
+
+def test_deep_input_needs_no_python_stack():
+    # Under a limit of 100 Python frames, deep texts parse, render, parse
+    # back and are answered: outside the possible-worlds oracle, nothing
+    # recurses per level.  A deep RecursionError under pytest can take
+    # minutes to report; here it fails at once.
+    tests = Path(__file__).resolve().parent
+    script = textwrap.dedent("""
+        import sys
+        from helpers import deep_texts, sample_model
+        from propctl.semantics import evaluate, program_image
+        from propctl.syntax import parse_formula, parse_program, render
+        shapes = deep_texts(500) + [(parse_program, "(<" * 500 + "(p)?" + ">true)?" * 500)]
+        model = sample_model()
+        sys.setrecursionlimit(100)
+        for parse, text in shapes:
+            node = parse(text)
+            assert parse(render(node)) == node, text[:40]
+            (evaluate if parse is parse_formula else program_image)(model, node)
+        print(len(shapes))
+    """)
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr[-2000:]) == (0, "8\n", "")
 
 
 def test_render_long_conjunction_chains():

@@ -12,14 +12,14 @@ import random
 
 import pytest
 
-from helpers import kripke_depth, random_formula, random_program
+from helpers import kripke_depth, postorder, random_formula, random_program
 from propctl import kripke, semantics
 from propctl.control import characterize_second_order, grand_coalition_control
 from propctl.decision import satisfiable, valid
 from propctl.model import Allocation, DirectModel, Signature, SignatureError, Valuation
 from propctl.normalform import equivalent, normal_form
 from propctl.syntax import (TOP, Atom, Dia, DiaProg, Formula, Give, Not, Or, Star, parse_formula,
-                            postorder, render)
+                            render)
 
 SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)] + [(2, 6)]
 OFF = (0, 0)  # no signature is this small: the whole layout off
