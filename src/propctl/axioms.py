@@ -5,7 +5,9 @@ a template that builds the closed instances of each combination.  Every
 instance is checked for validity over all models of the signature; the
 first counterexample, if any, is reported together with the falsifying
 model.  Schemes whose instance space exceeds the per-scheme budget are
-truncated and flagged, never silently skipped.
+truncated and flagged, never silently skipped.  A scheme with an instance
+too large to tabulate is refused at that instance and flagged with the
+refusal, and the other schemes are still checked.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 from typing import Iterable, Iterator
 
 from .decision import counterexample
-from .model import Signature, Value, serialize_model
+from .model import Signature, SignatureError, Value, serialize_model
 from .syntax import (
     Atom,
     Choice,
@@ -318,17 +320,21 @@ SCHEMES: tuple[Scheme, ...] = tuple(itertools.starmap(_scheme, [
 
 
 class SchemeResult(Value):
-    """Instances checked, whether the budget cut the scheme off, and the
-    first (instance, falsifying model), if any."""
+    """Instances checked, whether the budget cut the scheme off, the first
+    (instance, falsifying model), if any, and the message of the refusal
+    that stopped the scheme, if any.  ``ok`` says that no instance checked
+    is falsified."""
 
-    __slots__ = ("name", "checked", "truncated", "counterexample")
-    _defaults = (None,)
+    __slots__ = ("name", "checked", "truncated", "counterexample", "refused")
+    _defaults = (None, None)
 
     @property
     def ok(self) -> bool:
         return self.counterexample is None
 
     def line(self) -> str:
+        if self.refused is not None:
+            return f"{self.name}: refused after {self.checked} instance(s): {self.refused}"
         status = "ok" if self.ok else "COUNTEREXAMPLE"
         note = " (truncated)" if self.truncated else ""
         out = f"{self.name}: {status}, {self.checked} instance(s){note}"
@@ -361,17 +367,21 @@ class SuiteReport(Value):
 def check_scheme(scheme: Scheme, ctx: SuiteContext, per_scheme: int) -> SchemeResult:
     checked = 0
     truncated = False
-    found = None
+    found = refused = None
     for instance in scheme.instances(ctx):
         if checked >= per_scheme:
             truncated = True
             break
+        try:
+            model = counterexample(instance, ctx.sig)
+        except SignatureError as err:  # too large to tabulate
+            refused = str(err)
+            break
         checked += 1
-        model = counterexample(instance, ctx.sig)
         if model is not None:
             found = (instance, model)
             break
-    return SchemeResult(scheme.name, checked, truncated, found)
+    return SchemeResult(scheme.name, checked, truncated, found, refused)
 
 
 def axiom_suite(sig: Signature, budget: Budget | None = None) -> SuiteReport:

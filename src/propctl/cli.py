@@ -6,7 +6,9 @@ Every subcommand is a thin shell over one library call.  Exit codes:
 program or model file) and for a missing or bad flag, 3 for signature
 violations (identifiers outside the model or signature in scope, including
 an unknown agent inside ``CONTROLS`` or ``giveall``) and for a table, or an
-``nf --emit-formula`` formula, too large to build (see ``_EMIT_LIMIT``), 4
+``nf --emit-formula`` formula, too large to build (see ``_EMIT_LIMIT``;
+``axioms`` refuses such a table per scheme, checks the other schemes, and
+exits 3 only if none has a counterexample), 4
 for a file that cannot be read, and 5 for any other failure, reported in
 one line on stderr without a traceback.
 ``--json`` switches each command to a machine-readable record.
@@ -231,13 +233,20 @@ def _cmd_axioms(args) -> int:
     schemes = []
     for r in report.results:
         entry = {"name": r.name, "ok": r.ok, "checked": r.checked,
-                 "truncated": r.truncated, "counterexample": None}
+                 "truncated": r.truncated, "counterexample": None, "refused": r.refused}
         if r.counterexample is not None:
             instance, model = r.counterexample
             entry["counterexample"] = {"instance": render(instance), "model": model}
         schemes.append(entry)
     _emit(args, {"command": "axioms", "ok": report.ok, "schemes": schemes}, report.lines())
-    return 0 if report.ok else 1
+    if not report.ok:
+        return 1
+    refused = [r.name for r in report.results if r.refused is not None]
+    if refused:  # the other schemes were checked, and their lines printed
+        print(f"signature error: {len(refused)} of {len(schemes)} scheme(s) refused: "
+              f"{', '.join(refused)}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

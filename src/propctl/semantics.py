@@ -34,6 +34,8 @@ every other variable keeps one value.  Which layout serves a query:
   cached ``_cut`` that names every variable and agent: position ``a`` is
   the allocation of canonical index ``a`` and row bit ``u`` the valuation
   of bits ``u``, so a model's truth is bit ``alloc.index() * W + val.bits``;
+  atoms and ``true`` read the layout's tables (each variable's atom table,
+  kept with it, and the full table), so no leaf is built per query;
 - over a larger signature, a query without a model is in the formulas'
   cached ``_cut``, where truth depends on nothing else, so an answer in it
   is exact, and rows are lifted to the whole signature only where a caller
@@ -44,6 +46,7 @@ No table of more than ``_MAX_BITS`` bits is built.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -161,7 +164,8 @@ class _Layout:
     ``_Tables``); a large table keeps its own, for the query alone, and
     leaves this one empty.  A cut layout (``_cut``) also has ``digit``: per
     agent of ``sig``, the digit of the agent standing for it, which
-    ``project`` and ``lift`` read.
+    ``project`` and ``lift`` read.  The whole layout's ``leaves`` holds each
+    variable's atom table by name, the one ``masks`` holds by index.
     """
 
     def __init__(self, sig: Signature, owners: list, free, val: int = 0, digit=None) -> None:
@@ -183,8 +187,10 @@ class _Layout:
         self.large = size * width > _DROP_BITS
         self.point = sum(1 << i for i, j in enumerate(free) if val >> j & 1)
         # atom tables by variable, ownership masks by (agents, variable), diamond
-        # flips by coalition, handover steps by (giver, variable, receiver, forward)
+        # flips by coalition, handover steps by (giver, variable, receiver, forward),
+        # and "low", the table of each row's bit 0
         self.masks: dict = {}
+        self.leaves: dict[str, int] = {}
 
     def allocation(self, a: int) -> Allocation:
         """The first allocation, in canonical order, at domain position ``a``.
@@ -235,9 +241,9 @@ class _Layout:
 # times as long a pass on the `axioms` and `decide` workloads and 1.3 on
 # `check` (in-process alternating rounds, best of six, 2 vCPUs, Python 3.11.7).
 @lru_cache(maxsize=256)
-def _cut(sig: Signature, props: frozenset[str], agents: frozenset[str]) -> _Layout:
+def _cut(sig: Signature, props: frozenset[str] | None, agents: frozenset[str] | None) -> _Layout:
     """The layout of model-free tables over ``sig`` of roots naming the
-    variables ``props`` and the agents ``agents``.
+    variables ``props`` and the agents ``agents`` (every one if ``None``).
 
     A named variable can be owned by the named agents and by the
     lowest-indexed unnamed agent, if any, standing for all of those; an
@@ -247,14 +253,27 @@ def _cut(sig: Signature, props: frozenset[str], agents: frozenset[str]) -> _Layo
     unnamed agent owns.  The roots hold at a pair exactly when they hold at
     its projection: no atom reads an unnamed variable, no coalition or
     handover names an unnamed agent, and a handover commutes with the
-    projection.  Naming every variable and agent, it is the signature's
-    whole layout, which also serves queries at a model (see ``_Tables``).
+    projection.  Naming every variable and agent (``None``), it is the
+    signature's whole layout, which also serves queries at a model (see
+    ``_Tables``), and it keeps every variable's atom table in ``leaves``.
     """
+    whole = props is None
+    if whole:
+        props, agents = sig.var_index, sig.agent_index
     rest = next((i for i, a in enumerate(sig.agents) if a not in agents), None)
     kept = [i for i, a in enumerate(sig.agents) if a in agents or i == rest]
     digit = [kept.index(i if a in agents else rest) for i, a in enumerate(sig.agents)]
-    return _Layout(sig, [kept if p in props else [0] for p in sig.vars],
-                   [j for j, p in enumerate(sig.vars) if p in props], digit=digit)
+    layout = _Layout(sig, [kept if p in props else [0] for p in sig.vars],
+                     [j for j, p in enumerate(sig.vars) if p in props], digit=digit)
+    if whole:
+        for j, (_, true) in layout.free.items():
+            layout.leaves[sig.vars[j]] = layout.masks[j] = _tile(true, layout.width,
+                                                                 len(layout.domain))
+    return layout
+
+
+# The little-endian ``struct`` code of a row of each width that has one.
+_UNPACK = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class _Tables:
@@ -267,9 +286,9 @@ class _Tables:
     or without a model, the tables are in the cached whole layout, the
     signature's ``_cut`` that names every variable and agent: a position is
     an allocation's canonical index and a row bit a valuation's bits.  One
-    walk (``walk``) checks the fit and builds each table; at a model,
-    ``point`` is the model's bit, its allocation's row and its valuation's
-    bit in it.
+    walk (``walk``) checks the fit and builds each table but the leaves',
+    which the layout holds; at a model, ``point`` is the model's bit, its
+    allocation's row and its valuation's bit in it.
 
     Otherwise one walk lists the nodes and names, and the tables are built
     after it.  Without a model, they are in the roots' ``_cut`` layout of
@@ -287,7 +306,7 @@ class _Tables:
     def __init__(self, sig, roots: list, model: DirectModel | None = None):
         if (isinstance(sig, Signature) and len(sig.agents) <= _WHOLE_SHAPE[0]
                 and len(sig.vars) <= _WHOLE_SHAPE[1]):
-            self.use(_cut(sig, frozenset(sig.var_index), frozenset(sig.agent_index)))
+            self.use(_cut(sig, None, None))
             self.walk(*roots)
             if model is not None:
                 self.point = model.alloc.index() * self.width + model.val.bits
@@ -338,13 +357,14 @@ class _Tables:
         through in a loop to its base, each time a parent reaches it.  A
         formula node's table is built when the walk leaves it, so a formula
         node other than a negation is seen once it has a table, and a
-        program node once it is in ``programs``.  Each name is looked up in
-        the signature as it is met; at a name outside it, or an object that
-        is no node, ``ensure_fits`` walks the roots' join (made only then)
-        and raises its error, naming what every root names outside the
-        signature."""
-        table, build, programs = self.table, self.build, set()
-        var_index, agents = self.sig.var_index, self.sig.agent_index.keys()
+        program node once it is in ``programs``.  An atom's table is the
+        layout's leaf, and ``true``'s is ``full``: neither is built.  Each
+        name is looked up in the signature (a variable among the leaves) as
+        it is met; at a name outside it, or an object that is no node,
+        ``ensure_fits`` walks the roots' join (made only then) and raises its
+        error, naming what every root names outside the signature."""
+        table, build, full, programs = self.table, self.build, self.full, set()
+        leaves, agents = self.layout.leaves, self.sig.agent_index.keys()
         add, stack = programs.add, list(roots)
         pop, append, extend = stack.pop, stack.append, stack.extend
         while stack:
@@ -363,9 +383,10 @@ class _Tables:
             if kind is Or:
                 extend((cur, _END, cur.left, cur.right))
             elif kind is Atom:
-                if cur.name not in var_index:
+                try:
+                    table[key] = leaves[cur.name]
+                except KeyError:
                     break
-                table[key] = build(cur)
             elif kind is Dia:
                 if not cur.coalition <= agents:
                     break
@@ -373,11 +394,11 @@ class _Tables:
             elif kind is DiaProg:
                 extend((cur, _END, cur.program, cur.body))
             elif kind is Top:
-                table[key] = build(cur)
+                table[key] = full
             elif key in programs:
                 continue
             elif kind is Give:
-                if not (cur.var in var_index and cur.giver in agents and cur.receiver in agents):
+                if not (cur.var in leaves and cur.giver in agents and cur.receiver in agents):
                     break
             elif kind is Choice:
                 add(key)
@@ -547,13 +568,15 @@ class _Tables:
 
     def rows(self, t: int) -> list[int]:
         """The table's rows, position by position."""
-        width = self.width
-        data = t.to_bytes(-(-len(self.domain) * width // 8), "little")
-        if width >= 8:  # whole bytes per row
+        width, count = self.width, len(self.domain)
+        data = t.to_bytes(-(-count * width // 8), "little")
+        if width in _UNPACK:  # 1, 2, 4 or 8 bytes per row, read in one call
+            return list(struct.unpack(f"<{count}{_UNPACK[width]}", data))
+        if width > 64:  # wider rows: a slice each
             step = width >> 3
             return [int.from_bytes(data[b:b + step], "little") for b in range(0, len(data), step)]
         mask = (1 << width) - 1  # several rows per byte
-        return [byte >> b & mask for byte in data for b in range(0, 8, width)][:len(self.domain)]
+        return [byte >> b & mask for byte in data for b in range(0, 8, width)][:count]
 
     def first(self, t: int) -> tuple[int, int]:
         """The position of a non-empty table's first non-empty row, and the
@@ -562,7 +585,8 @@ class _Tables:
 
     def mixed(self, t: int) -> bool:
         """Whether every row of the table holds some valuation and misses some."""
-        low = self.tiled(1)
+        if (low := self.masks.get("low")) is None:  # kept with the layout if small
+            low = self.masks["low"] = self.tiled(1)
 
         def nonempty(x: int) -> int:  # bit 0 of each row becomes the OR of its row
             shift = 1

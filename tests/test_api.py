@@ -57,7 +57,8 @@ API = {
         Budget Budget.formula_depth Budget.formula_limit Budget.objective_limit
         Budget.per_scheme Budget.program_limit SCHEMES Scheme Scheme.instances
         Scheme.name SchemeResult SchemeResult.checked SchemeResult.counterexample
-        SchemeResult.line SchemeResult.name SchemeResult.ok SchemeResult.truncated
+        SchemeResult.line SchemeResult.name SchemeResult.ok SchemeResult.refused
+        SchemeResult.truncated
         SuiteContext SuiteContext.agents SuiteContext.formulas
         SuiteContext.objectives SuiteContext.programs
         SuiteContext.sig SuiteContext.vars SuiteReport SuiteReport.lines

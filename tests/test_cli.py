@@ -345,6 +345,41 @@ def test_too_large_to_tabulate_exit_three(model_file, monkeypatch, capsys):
     semantics._cut.cache_clear()
 
 
+def test_axioms_refuses_schemes_one_at_a_time(capsys, monkeypatch):
+    # the limit lowered so that two schemes' instances are over it at 2x5
+    from propctl import axioms
+    monkeypatch.setattr(semantics, "_MAX_BITS", 1 << 5)
+    semantics._cut.cache_clear()
+    argv = ["axioms", "--agents", "2", "--vars", "5", "--limit", "10"]
+    whole, cut = (f"too large to tabulate: {n} rows of {n} bits are over the limit of 32 bits"
+                  for n in (32, 8))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err == ("signature error: 2 of 29 scheme(s) refused: "
+                   "allocation-partition, commute-transfers\n")
+    lines = out.splitlines()
+    assert len(lines) == 30
+    assert f"allocation-partition: refused after 0 instance(s): {whole}" in lines
+    assert f"commute-transfers: refused after 2 instance(s): {cut}" in lines
+    assert "prop-tautology: ok, 10 instance(s) (truncated)" in lines  # the others are checked
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 3 and err.count("\n") == 1
+    record = json.loads(out)
+    refused = {s["name"]: (s["checked"], s["refused"]) for s in record["schemes"] if s["refused"]}
+    assert refused == {"allocation-partition": (0, whole), "commute-transfers": (2, cut)}
+    assert record["ok"] is True  # no counterexample among the instances checked
+    # a counterexample outranks a refusal
+    unsound = axioms.Scheme("unsound", lambda ctx: iter([parse_formula("p1 -> box{1} p1")]))
+    partition = next(s for s in axioms.SCHEMES if s.name == "allocation-partition")
+    monkeypatch.setattr(axioms, "SCHEMES", (partition, unsound))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:3] == [
+        f"allocation-partition: refused after 0 instance(s): {whole}",
+        "unsound: COUNTEREXAMPLE, 1 instance(s)"]
+    semantics._cut.cache_clear()
+
+
 def test_model_file_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("agents: 1\nvars: p\nowns 1: p\nowns 1: p\ntrue:\n")

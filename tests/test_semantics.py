@@ -613,3 +613,19 @@ def test_giveall_answers_as_the_guarded_expansion(agents, text, givers, receiver
         for agent in sig.agents:
             goal = second_order_controls(agent, bodies[0], sig)
             assert evaluate(m, goal) == kripke.evaluate(kripke.pointed_of(m), goal)
+
+
+@pytest.mark.parametrize("free", range(9))  # rows of 1, 2, 4, ..., 256 bits
+def test_rows_read_each_row_bit_by_bit(free):
+    # 8- to 64-bit rows are read in one call, narrower ones several to a
+    # byte, wider ones a slice per row: each as the packing defines them
+    sig = Signature(("1", "2", "3"), tuple(f"p{j}" for j in range(8)))
+    tables = semantics._Tables(sig, [])
+    rng = random.Random(free)
+    for owned in range(6):  # 1, 3, 9, 27, 81 and 243 rows
+        tables.use(semantics._Layout(sig, [[0, 1, 2]] * owned + [[0]] * (8 - owned),
+                                     range(free)))
+        width, count = tables.width, len(tables.domain)
+        assert (width, count) == (1 << free, 3 ** owned)
+        for t in (rng.getrandbits(count * width), rng.getrandbits(count * width), 0, tables.full):
+            assert tables.rows(t) == [t >> a * width & (1 << width) - 1 for a in range(count)]

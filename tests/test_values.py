@@ -81,7 +81,7 @@ REPRS = [
     f"SuiteContext(sig={_SIG}, formulas=(Top(), Atom(name='p')), "
     f"objectives=(Atom(name='p'),), programs=({_GIVE},))",
     "Scheme(name='k', instances=<built-in function len>)",
-    "SchemeResult(name='k', checked=3, truncated=True, counterexample=None)",
+    "SchemeResult(name='k', checked=3, truncated=True, counterexample=None, refused=None)",
     f"SuiteReport(sig={_SIG}, results=[])",
 ]
 

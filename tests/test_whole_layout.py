@@ -18,8 +18,8 @@ from propctl.control import characterize_second_order, grand_coalition_control
 from propctl.decision import satisfiable, valid
 from propctl.model import Allocation, DirectModel, Signature, SignatureError, Valuation
 from propctl.normalform import equivalent, normal_form
-from propctl.syntax import (TOP, Atom, Dia, DiaProg, Formula, Give, Not, Or, Star, parse_formula,
-                            render)
+from propctl.syntax import (TOP, Atom, Dia, DiaProg, Formula, Give, Not, Or, Star, Top,
+                            parse_formula, render)
 
 SHAPES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3, 4)] + [(2, 6)]
 OFF = (0, 0)  # no signature is this small: the whole layout off
@@ -82,7 +82,7 @@ def test_shared_nodes_are_tabled_once_in_the_whole_walk(monkeypatch):
     # <-> uses each operand twice, and repeat its body twice: 2**12 paths
     sig = signature(2, 2)
     f = parse_formula(" <-> ".join(["p0", "dia{1} p1"] * 6) + " | <repeat (repeat give(1,p0,2) "
-                      "until p1) until dia{2}(p0 <-> p1)> p0", sig)
+                      "until p1) until dia{2}(p0 <-> p1)> p0 | dia{2} true", sig)
     m = DirectModel(sig, Allocation.from_index(sig, 2), Valuation(sig, 1))
     built, tables = [], []
     real = semantics._Tables.build
@@ -95,16 +95,25 @@ def test_shared_nodes_are_tabled_once_in_the_whole_walk(monkeypatch):
     monkeypatch.setattr(semantics._Tables, "build", counting)
     formulas = [node for node in postorder(f) if isinstance(node, Formula)]
     negations = [node for node in formulas if type(node) is Not]
+    leaves = [node for node in formulas if type(node) in (Atom, Top)]
+    assert {Atom, Top} == set(map(type, leaves))
     for query in (lambda: normal_form(f, sig), lambda: semantics.evaluate(m, f)):
         built.clear()
         tables.clear()
         query()
-        # each formula node but a negation is built once; a negation is read through
+        # each formula node but a negation or a leaf is built once; a negation is
+        # read through, and a leaf's table is the whole layout's
         assert sorted(map(id, built)) == sorted(id(node) for node in formulas
-                                                if type(node) is not Not)
+                                                if type(node) not in (Not, Atom, Top))
         assert negations and len({id(t) for t in tables}) == 1
+        whole = tables[0]
         for node in negations:
-            assert tables[0].value(node) == tables[0].full ^ tables[0].value(node.body)
+            assert whole.value(node) == whole.full ^ whole.value(node.body)
+        for node in leaves:
+            if type(node) is Atom:
+                assert whole.value(node) is whole.layout.leaves[node.name]
+            else:
+                assert whole.value(node) == whole.full
 
 
 def test_the_limit_sends_small_signatures_to_the_whole_layout():
@@ -177,7 +186,9 @@ def test_several_roots_are_walked_without_a_join(monkeypatch):
         monkeypatch.setattr(semantics, "_WHOLE_SHAPE", whole_shape)
         built.clear()
         assert not equivalent(p, q, sig)
-        assert sorted(map(id, built)) == sorted(map(id, [p, q, q.body]))
+        # the whole layout builds no atom's table: it holds them all
+        assert sorted(map(id, built)) == sorted(map(id, [q] if whole_shape != OFF
+                                                    else [p, q, q.body]))
         built.clear()
         characterize_second_order(sig, m.alloc, m.val, "1", q)
         assert Or not in map(type, built)
