@@ -204,12 +204,19 @@ _POOLS = {
     "formulas": lambda ctx: ctx.formulas,
     "objectives": lambda ctx: ctx.objectives,
     "programs": lambda ctx: ctx.programs,
-    "moves": lambda ctx: [Give(i, p, j) for i, p, j in
-                          itertools.product(ctx.agents, ctx.vars, ctx.agents)],
-    "coalitions": lambda ctx: [frozenset(c) for r in range(len(ctx.agents) + 1)
-                               for c in itertools.combinations(ctx.agents, r)],
+    "moves": lambda ctx: (Give(i, p, j) for i, p, j in
+                          itertools.product(ctx.agents, ctx.vars, ctx.agents)),
+    "coalitions": lambda ctx: (frozenset(c) for r in range(len(ctx.agents) + 1)
+                               for c in itertools.combinations(ctx.agents, r)),
     "literals": _literals,
 }
+
+
+def _extend(combos: Iterable[tuple], pool, ctx: SuiteContext) -> Iterator[tuple]:
+    """Each combination followed by each item of the pool, read anew for each
+    combination and only as far as asked for: ``itertools.product`` would
+    build every pool in full first, and ``coalitions`` has 2^n items."""
+    return (combo + (item,) for combo in combos for item in pool(ctx))
 
 
 def _scheme(name: str, pools: str, template) -> Scheme:
@@ -217,7 +224,10 @@ def _scheme(name: str, pools: str, template) -> Scheme:
     of the named pools in ``itertools.product`` order; a combination the
     template gives no instance for is skipped."""
     def instances(ctx: SuiteContext) -> Iterator[Formula]:
-        for combo in itertools.product(*(_POOLS[pool](ctx) for pool in pools.split())):
+        combos: Iterable[tuple] = ((),)
+        for pool in pools.split():
+            combos = _extend(combos, _POOLS[pool], ctx)
+        for combo in combos:
             yield from template(*combo)
     return Scheme(name, instances)
 

@@ -366,7 +366,7 @@ class _Tables:
         table, build, full, programs = self.table, self.build, self.full, set()
         leaves, agents = self.layout.leaves, self.sig.agent_index.keys()
         add, stack = programs.add, list(roots)
-        pop, append, extend = stack.pop, stack.append, stack.extend
+        pop, extend = stack.pop, stack.extend
         while stack:
             cur = pop()
             if cur is _END:
@@ -400,18 +400,9 @@ class _Tables:
             elif kind is Give:
                 if not (cur.var in leaves and cur.giver in agents and cur.receiver in agents):
                     break
-            elif kind is Choice:
+            elif kind in CHILDREN:  # a compound program
                 add(key)
-                extend((cur.left, cur.right))
-            elif kind is Star:
-                add(key)
-                append(cur.body)
-            elif kind is Test:
-                add(key)
-                append(cur.condition)
-            elif kind is Seq:
-                add(key)
-                extend((cur.first, cur.second))
+                extend(CHILDREN[kind](cur))
             else:
                 break
         else:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import re
 from functools import partial, reduce
-from typing import NamedTuple
 
 from .model import (
     DirectModel,
@@ -220,7 +219,8 @@ def second_order_controls(agent: str, body: Formula, sig: Signature) -> Formula:
 # ---------------------------------------------------------------------------
 # Signature extraction and fit checking.
 
-# Each node kind's children, in order (``_walk`` reads them inline, in this order).
+# Each node kind's children, in order.  ``_walk`` reads them inline, in this
+# order; ``semantics._Tables.walk`` reads a compound program's from here.
 CHILDREN = {
     Top: lambda n: (), Atom: lambda n: (), Give: lambda n: (),
     Not: lambda n: (n.body,), Dia: lambda n: (n.body,), Star: lambda n: (n.body,),
@@ -329,25 +329,19 @@ KEYWORDS = {
 
 _PROGRAM_KEYWORDS = {"give", "giveall", "test", "skip", "fail", "if", "while", "repeat"}
 
-# One alternative per kind of lexeme; "<->" and "->" are tried before "<".
-# Only ``_tokenize`` reads it, which only a text with a comment or an error
-# reaches (see below), so ``re`` compiles it when first used, not at import.
-_SYMBOL = r"<->|->|[(){}\[\]<>~&|;+*?,]"
-_LEXEME = (rf"(?P<symbol>{_SYMBOL})|(?P<word>\w+)|(?P<space>[^\S\n]+)"
-           r"|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<other>.)")
-
-# The parser reads a text's lexemes from one regex call: ``_WORD_OR_SYMBOL``
-# finds them, skipping the blanks between them.  That reading is exact only
-# for a clean text, which ``_CLEAN`` matches whole: blanks, symbols, and
-# names that ``is_valid_name`` accepts, none followed by a word character.
-# Any other text (a comment, a stray character, a bad identifier) is read by
-# ``_tokenize``, which raises the positioned error.  ``_tokenize`` alone
-# gives token positions; the parser reads them only to report an error.
-# ``_CLEAN`` reads a text in one way only (a "<" is never the start of
-# "<->"), so refusing a text backtracks in linear time.
-_CLEAN = re.compile(r"(?:\s|<->|->|<(?!->)|[(){}\[\]>~&|;+*?,]"
-                    rf"|(?:{_NAME_RE.pattern})(?!\w))*")
-_WORD_OR_SYMBOL = re.compile(rf"{_SYMBOL}|\w+")
+# One lexer reads every formula and program text.  ``_CLEAN`` matches a
+# text's clean prefix: blanks, symbols, ``#`` comments (to the end of the
+# line) and names that ``is_valid_name`` accepts, none followed by a word
+# character.  A text that is clean as a whole is read by one call of
+# ``_LEXEME``, which finds its symbols, words and comments and skips the
+# blanks; any other text is refused where its clean prefix ends.  A line
+# ends at "\n" only.  Both regexes are built from ``_SYMBOL``, which reads
+# a text one way only (a "<" is never the start of "<->"), so they read a
+# text alike, and in linear time.  Positions are found from the lexemes'
+# offsets, and only for an error.
+_SYMBOL = r"<->|->|<(?!->)|[(){}\[\]>~&|;+*?,]"
+_CLEAN = re.compile(rf"(?:\s|{_SYMBOL}|(?:{_NAME_RE.pattern})(?!\w)|#[^\n]*)*")
+_LEXEME = re.compile(rf"{_SYMBOL}|\w+|#[^\n]*")
 
 
 class ParseError(Exception):
@@ -360,51 +354,36 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str  # "name", "keyword", symbol text, or "end"
-    text: str
-    line: int
-    col: int
+def _place(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of the text's character at ``offset``.  A column
+    counts characters: a tab or a carriage return is one."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The text's tokens, then an "end" token.  A column counts characters;
-    a comment moves no column."""
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    for match in re.finditer(_LEXEME, text, re.DOTALL):
-        kind, lexeme = match.lastgroup, match.group()
-        if kind == "symbol":
-            tokens.append(_Token(lexeme, lexeme, line, col))
-        elif kind == "word":
-            if lexeme in KEYWORDS:
-                tokens.append(_Token("keyword", lexeme, line, col))
-            elif is_valid_name(lexeme):
-                tokens.append(_Token("name", lexeme, line, col))
-            else:
-                raise ParseError(f"bad identifier {lexeme!r}", line, col)
-        elif kind == "newline":
-            line, col = line + 1, 1
-            continue
-        elif kind == "comment":
-            continue
-        elif kind == "other":
-            raise ParseError(f"unexpected character {lexeme!r}", line, col)
-        col += len(lexeme)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+def _offsets(text: str) -> list[int]:
+    """The offset of each lexeme of a clean text, as ``_lex`` lists them.  The
+    end of input is at the end of the text, or where a comment on its last
+    line starts: a comment moves no column."""
+    offsets = [match.start() for match in _LEXEME.finditer(text) if match[0][0] != "#"]
+    end = text.find("#", text.rfind("\n") + 1)
+    offsets.append(len(text) if end < 0 else end)
+    return offsets
 
 
 def _lex(text: str) -> list[str]:
-    """The text's lexemes, then ``""`` for the end: what ``_tokenize`` gives
-    without kinds or positions, from one regex call when the text is clean,
-    or else from ``_tokenize``, which raises its errors.  A lexeme is its
-    own kind: a symbol or a keyword is itself, any other word a name."""
-    if _CLEAN.fullmatch(text):
-        lexemes = _WORD_OR_SYMBOL.findall(text)
-        lexemes.append("")
-        return lexemes
-    return [tok.text for tok in _tokenize(text)]
+    """The text's lexemes, then ``""`` for the end, read by one regex call
+    once ``_CLEAN`` has matched the whole text.  A lexeme is its own kind: a
+    symbol or a keyword is itself, any other word a name."""
+    end = _CLEAN.match(text).end()
+    if end < len(text):  # a word there is not a name; anything else, no lexeme
+        word = _LEXEME.match(text, end)
+        raise ParseError(f"bad identifier {word[0]!r}" if word else
+                         f"unexpected character {text[end]!r}", *_place(text, end))
+    lexemes = _LEXEME.findall(text)
+    if "#" in text:
+        lexemes = [lexeme for lexeme in lexemes if lexeme[0] != "#"]
+    lexemes.append("")
+    return lexemes
 
 
 # ---------------------------------------------------------------------------
@@ -662,14 +641,13 @@ def _read(lexemes: list[str], sig: Signature | None, sort: dict):
 
 
 def _parse(text: str, sig: Signature | None, sort: dict):
-    """All of the text as a ``sort``; a refusal's position comes from
-    ``_tokenize``, run only then."""
+    """All of the text as a ``sort``; a refusal's position is found from its
+    lexeme's offset, only then."""
     try:
         return _read(_lex(text), sig, sort)
     except _Refusal as refusal:
         message, index = refusal.args
-        tok = _tokenize(text)[index]
-        raise ParseError(message, tok.line, tok.col) from None
+        raise ParseError(message, *_place(text, _offsets(text)[index])) from None
 
 
 def parse_formula(text: str, sig: Signature | None = None) -> Formula:

@@ -4,10 +4,12 @@ reference readings of the library that only tests use."""
 from __future__ import annotations
 
 import random
+import re
+from typing import NamedTuple
 
 from propctl.kripke import PointedKripkeModel, _eval_k, _pointed_image
 from propctl.model import (DirectModel, Signature, Valuation, enumerate_allocations,
-                           enumerate_models)
+                           enumerate_models, is_valid_name)
 from propctl.semantics import program_image, truth_rows
 from propctl.syntax import (
     Atom,
@@ -16,8 +18,10 @@ from propctl.syntax import (
     DiaProg,
     Formula,
     Give,
+    KEYWORDS,
     Not,
     Or,
+    ParseError,
     Program,
     Seq,
     Star,
@@ -37,6 +41,49 @@ owns 1: p q
 owns 2: r
 true: p q
 """
+
+
+# The reference lexer: one named alternative per kind of lexeme, read one
+# match at a time with a running line and column.  "<->" and "->" are tried
+# before "<".
+_LEXEME = (r"(?P<symbol><->|->|[(){}\[\]<>~&|;+*?,])|(?P<word>\w+)|(?P<space>[^\S\n]+)"
+           r"|(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<other>.)")
+
+
+class Token(NamedTuple):
+    kind: str  # "name", "keyword", symbol text, or "end"
+    text: str
+    line: int
+    col: int
+
+
+def tokenize(text: str) -> list[Token]:
+    """The text's tokens, then an "end" token, or the ``ParseError`` of its
+    first bad identifier or stray character.  A column counts characters; a
+    comment moves no column."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    for match in re.finditer(_LEXEME, text, re.DOTALL):
+        kind, lexeme = match.lastgroup, match.group()
+        if kind == "symbol":
+            tokens.append(Token(lexeme, lexeme, line, col))
+        elif kind == "word":
+            if lexeme in KEYWORDS:
+                tokens.append(Token("keyword", lexeme, line, col))
+            elif is_valid_name(lexeme):
+                tokens.append(Token("name", lexeme, line, col))
+            else:
+                raise ParseError(f"bad identifier {lexeme!r}", line, col)
+        elif kind == "newline":
+            line, col = line + 1, 1
+            continue
+        elif kind == "comment":
+            continue
+        elif kind == "other":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+        col += len(lexeme)
+    tokens.append(Token("end", "", line, col))
+    return tokens
 
 
 def sample_model() -> DirectModel:

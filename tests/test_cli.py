@@ -301,6 +301,23 @@ def test_axioms_deep_pool_is_cut_at_its_limit():
     assert proc.stdout.startswith("signature: agents 1; vars p1\n")
 
 
+def test_axioms_reads_the_coalition_pool_only_as_far_as_needed():
+    # 24 agents have 2^24 coalitions; building them all ends in a MemoryError
+    # under the child's 1 GiB address-space limit within seconds.
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["axioms", "--agents", "24", "--vars", "1", "--limit", "5"]
+    proc = subprocess.run([sys.executable, "-m", "propctl.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+                          preexec_fn=limit_memory)
+    assert proc.returncode == 0, proc.stderr
+    assert "coalition-composition: ok, 5 instance(s) (truncated)" in proc.stdout
+
+
 def test_import_leaves_out_dataclasses_and_the_axiom_suite(capsys):
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys, propctl.cli; print(sorted("

@@ -1,9 +1,11 @@
 import random
 
+import pytest
+
 from propctl import semantics
-from propctl.kripke import evaluate, pointed_of
-from propctl.model import Signature
-from propctl.syntax import TOP, conj, parse_formula
+from propctl.kripke import PointedKripkeModel, evaluate, pointed_of
+from propctl.model import Allocation, Signature, SignatureError, Valuation
+from propctl.syntax import TOP, Atom, DiaProg, Give, conj, parse_formula
 
 from helpers import (cross_check, kripke_depth, models_of, naming_everything, random_formula,
                      random_program, sample_model)
@@ -101,3 +103,18 @@ def test_program_images_agree_small_signatures():
                                   key=lambda pm: pm.alloc.index())
                 assert image == expected
                 assert semantics.star_depth(m, prog) == kripke_depth(pointed_of(m), prog)
+
+
+def test_pointed_model_refuses_parts_over_another_signature():
+    m, other = sample_model(), Signature(("1",), ("p",))
+    for alloc, world in ((Allocation(other, (0,)), m.val), (m.alloc, Valuation(other, 0))):
+        with pytest.raises(SignatureError, match="disagree on the signature"):
+            PointedKripkeModel(m.sig, alloc, world)
+
+
+def test_a_node_of_the_other_sort_is_refused():
+    pointed = pointed_of(sample_model())
+    with pytest.raises(TypeError, match="not a core formula"):
+        evaluate(pointed, Give("1", "p", "2"))
+    with pytest.raises(TypeError, match="not a core program"):
+        evaluate(pointed, DiaProg(Atom("p"), TOP))

@@ -45,6 +45,25 @@ def test_allocation_from_map_rejects_gaps():
         Allocation.from_map(sig, {"p": "1"})
 
 
+def test_allocation_from_map_names_the_first_unknown_owner():
+    sig = Signature(("1", "2"), ("p", "q", "r"))
+    with pytest.raises(SignatureError, match="^unknown agent 'y'$"):
+        Allocation.from_map(sig, {"r": "x", "q": "y", "p": "1"})
+
+
+def test_direct_model_refuses_parts_over_another_signature():
+    sig = Signature(("1", "2"), ("p",))
+    alloc, val = Allocation(sig, (1,)), Valuation(sig, 1)
+    with pytest.raises(SignatureError, match="allocation built over a different signature"):
+        DirectModel(sig, Allocation(Signature(("1",), ("p",)), (0,)), val)
+    with pytest.raises(SignatureError, match="valuation built over a different signature"):
+        DirectModel(sig, alloc, Valuation(Signature(("1", "2"), ("q",)), 1))
+    # an equal signature built apart is no other signature
+    same = Signature(("2", "1"), ("p",))
+    assert DirectModel(sig, Allocation(same, (1,)), Valuation(same, 1)) == DirectModel(
+        sig, alloc, val)
+
+
 def test_apply_cvaluation_overrides_only_owned_vars():
     m = sample_model()
     cv = CValuation(frozenset({"1"}), frozenset({"p", "q"}), frozenset({"p"}))
@@ -153,6 +172,11 @@ def test_enumeration_is_deterministic_and_allocation_major():
     assert first == second
     owners = [m.alloc.owner("p") for m in enumerate_models(sig)]
     assert owners == ["1", "1", "2", "2"]
+
+
+def test_direct_model_index_is_its_enumeration_position():
+    sig = Signature(("1", "2", "3"), ("p", "q"))
+    assert [m.index() for m in enumerate_models(sig)] == list(range(model_count(sig)))
 
 
 def test_allocation_index_round_trip():

@@ -42,7 +42,8 @@ from propctl.syntax import (
     signature_of,
 )
 
-from helpers import deep_texts, postorder, random_coalition, random_formula, random_program
+from helpers import (deep_texts, postorder, random_coalition, random_formula, random_program,
+                     tokenize)
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -155,16 +156,22 @@ def test_deep_texts_are_refused_in_linear_time():
         assert (err.value.message, err.value.col) == want
 
 
+def _positioned(text):
+    """``_lex``'s lexemes of a clean text, each with its line and column."""
+    places = [syntax._place(text, offset) for offset in syntax._offsets(text)]
+    return [(lexeme, *place) for lexeme, place in zip(syntax._lex(text), places, strict=True)]
+
+
 def test_lexer_positions_golden():
     # a tab or a "\r" is one column; a comment moves no column
     text = "dia{1}\t(p <-> q)  # c\r\n  -> <give(1,p,2)>x_1 # end"
-    assert [(t.kind, t.text, t.line, t.col) for t in syntax._tokenize(text)] == [
-        ("keyword", "dia", 1, 1), ("{", "{", 1, 4), ("name", "1", 1, 5), ("}", "}", 1, 6),
-        ("(", "(", 1, 8), ("name", "p", 1, 9), ("<->", "<->", 1, 11), ("name", "q", 1, 15),
-        (")", ")", 1, 16), ("->", "->", 2, 3), ("<", "<", 2, 6), ("keyword", "give", 2, 7),
-        ("(", "(", 2, 11), ("name", "1", 2, 12), (",", ",", 2, 13), ("name", "p", 2, 14),
-        (",", ",", 2, 15), ("name", "2", 2, 16), (")", ")", 2, 17), (">", ">", 2, 18),
-        ("name", "x_1", 2, 19), ("end", "", 2, 23)]
+    want = [
+        ("dia", 1, 1), ("{", 1, 4), ("1", 1, 5), ("}", 1, 6), ("(", 1, 8), ("p", 1, 9),
+        ("<->", 1, 11), ("q", 1, 15), (")", 1, 16), ("->", 2, 3), ("<", 2, 6),
+        ("give", 2, 7), ("(", 2, 11), ("1", 2, 12), (",", 2, 13), ("p", 2, 14),
+        (",", 2, 15), ("2", 2, 16), (")", 2, 17), (">", 2, 18), ("x_1", 2, 19), ("", 2, 23)]
+    assert _positioned(text) == want
+    assert [(t.text, t.line, t.col) for t in tokenize(text)] == want
     sig3 = Signature(("1", "2", "3"), ("p", "q"))
     for parse, text, sig, want in [
         (parse_formula, "p & # comment", None, ("expected a formula, got 'end of input'", 1, 5)),
@@ -229,21 +236,35 @@ def _error(read, *args):
     return None
 
 
+def _reference_error(text, sort):
+    """The refusal of the text as a ``sort`` with each position from the
+    reference lexer ``tokenize``, as (message, line, column), or None."""
+    try:
+        tokens = tokenize(text)
+        syntax._read([t.text for t in tokens], None, sort)
+    except ParseError as err:
+        return err.message, err.line, err.col
+    except syntax._Refusal as refusal:
+        message, index = refusal.args
+        return message, tokens[index].line, tokens[index].col
+    return None
+
+
 def test_one_call_lexer_reads_what_the_positioned_lexer_reads():
     rng = random.Random(18)
     refused = 0
     for _ in range(4000):
         text = "".join(rng.choice(_LEX_PIECES) for _ in range(rng.randrange(1, 25)))
+        for parse, sort in ((parse_formula, syntax._FORMULA), (parse_program, syntax._PROGRAM)):
+            assert _error(parse, text) == _reference_error(text, sort), (parse, text)
         try:
-            tokens = syntax._tokenize(text)
+            tokens = tokenize(text)
         except ParseError as err:
             refused += 1
-            at = (err.message, err.line, err.col)
-            for read in (syntax._lex, parse_formula, parse_program):
-                assert _error(read, text) == at, (read, text)
+            assert _error(syntax._lex, text) == (err.message, err.line, err.col), text
             continue
-        # the parser reads a lexeme's kind from its text: a name is no other kind
-        assert syntax._lex(text) == [t.text for t in tokens], text
+        # the same lexemes at the same places; a name is no other kind
+        assert _positioned(text) == [(t.text, t.line, t.col) for t in tokens], text
         assert [t.kind == "name" for t in tokens] == [
             t.text not in syntax._NOT_NAME for t in tokens], text
     assert 400 < refused < 3600  # both paths are exercised
@@ -263,17 +284,17 @@ def test_clean_texts_parse_without_positions(monkeypatch):
     data = json.loads((Path(__file__).parents[1] / "bench" / "data" / "check.json")
                       .read_text(encoding="utf-8"))
 
-    def no_positions(text):
+    def no_positions(*args):
         raise AssertionError("positions read without an error")
 
-    monkeypatch.setattr(syntax, "_tokenize", no_positions)
+    monkeypatch.setattr(syntax, "_place", no_positions)
+    monkeypatch.setattr(syntax, "_offsets", no_positions)
     read = 0
     for item in data["items"]:
-        if "#" in item["text"]:
-            continue
         sig = Signature(tuple(item["agents"]), tuple(item["vars"]))
         parse = parse_program if item["kind"] == "program_image" else parse_formula
-        parse(item["text"], sig)
+        # comments are read on the same path, and change nothing
+        assert parse(item["text"], sig) == parse(f"# {read}\n{item['text']}  # end", sig)
         read += 1
     assert read == 120
 
