@@ -5,7 +5,6 @@ modalities move ownership between agents."""
 
 from .control import (
     characterize_second_order,
-    delegation_can_achieve,
     geq,
     grand_coalition_control,
 )

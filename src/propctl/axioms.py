@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
+from . import semantics
 from .decision import counterexample
 from .model import Signature, SignatureError, Value, serialize_model
 from .syntax import (
@@ -59,14 +60,6 @@ class SuiteContext(Value):
     programs that schemes instantiate."""
 
     __slots__ = ("sig", "formulas", "objectives", "programs")
-
-    @property
-    def agents(self) -> tuple[str, ...]:
-        return self.sig.agents
-
-    @property
-    def vars(self) -> tuple[str, ...]:
-        return self.sig.vars
 
 
 def _dedup(items: Iterable, limit: int) -> tuple:
@@ -190,7 +183,7 @@ def allocation_axiom(sig: Signature) -> Formula:
 
 def _literals(ctx: SuiteContext):
     """Each literal, its complement, and its atom."""
-    for p in ctx.vars:
+    for p in ctx.sig.vars:
         atom, other = Atom(p), Atom(p)
         yield atom, Not(other), atom
         yield Not(atom), other, atom
@@ -199,15 +192,15 @@ def _literals(ctx: SuiteContext):
 #: What a scheme's variables range over, by name.
 _POOLS = {
     "sig": lambda ctx: (ctx.sig,),
-    "agents": lambda ctx: ctx.agents,
-    "vars": lambda ctx: ctx.vars,
+    "agents": lambda ctx: ctx.sig.agents,
+    "vars": lambda ctx: ctx.sig.vars,
     "formulas": lambda ctx: ctx.formulas,
     "objectives": lambda ctx: ctx.objectives,
     "programs": lambda ctx: ctx.programs,
     "moves": lambda ctx: (Give(i, p, j) for i, p, j in
-                          itertools.product(ctx.agents, ctx.vars, ctx.agents)),
-    "coalitions": lambda ctx: (frozenset(c) for r in range(len(ctx.agents) + 1)
-                               for c in itertools.combinations(ctx.agents, r)),
+                          itertools.product(ctx.sig.agents, ctx.sig.vars, ctx.sig.agents)),
+    "coalitions": lambda ctx: (frozenset(c) for r in range(len(ctx.sig.agents) + 1)
+                               for c in itertools.combinations(ctx.sig.agents, r)),
     "literals": _literals,
 }
 
@@ -257,6 +250,13 @@ def _non_effect(i, literal):
     return [implies(conj(Dia(frozenset({i}), lit), Not(controls({i}, atom))), box({i}, lit))]
 
 
+def _partition(sig):
+    # The instance names every agent and variable, so its table has n^k rows
+    # of 2^k bits: refuse one too large before building n(n-1)/2 pairs per variable.
+    semantics._fit(len(sig.agents) ** len(sig.vars), 1 << len(sig.vars))
+    return [allocation_axiom(sig)]
+
+
 def _commute_transfers(first, second, f):
     # Transfers of one variable need not commute when one hands it to the other's giver.
     if first.var == second.var and (first.receiver == second.giver
@@ -296,7 +296,7 @@ SCHEMES: tuple[Scheme, ...] = tuple(itertools.starmap(_scheme, [
     ("atom-control", "agents vars", lambda i, p: [
         iff(controls({i}, Atom(p)),
             conj(Dia(frozenset({i}), Atom(p)), Dia(frozenset({i}), Not(Atom(p)))))]),
-    ("allocation-partition", "sig", lambda sig: [allocation_axiom(sig)]),
+    ("allocation-partition", "sig", _partition),
     ("effect", "agents literals objectives", _effect),
     ("coalition-composition", "coalitions coalitions formulas", lambda c1, c2, f: [
         iff(box(c1, box(c2, f)), box(c1 | c2, f))]),
@@ -358,47 +358,28 @@ def _indent(text: str) -> str:
     return "\n".join("  " + line for line in text.rstrip("\n").split("\n"))
 
 
-class SuiteReport(Value):
-    __slots__ = ("sig", "results")
-
-    def __init__(self, sig: Signature, results: list[SchemeResult] | None = None) -> None:
-        self._assign(sig, [] if results is None else results)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def lines(self) -> list[str]:
-        header = (f"signature: agents {', '.join(self.sig.agents)}; "
-                  f"vars {', '.join(self.sig.vars)}")
-        return [header] + [r.line() for r in self.results]
-
-
 def check_scheme(scheme: Scheme, ctx: SuiteContext, per_scheme: int) -> SchemeResult:
     checked = 0
     truncated = False
     found = refused = None
-    for instance in scheme.instances(ctx):
-        if checked >= per_scheme:
-            truncated = True
-            break
-        try:
+    try:  # an instance too large to tabulate is refused as it is drawn or checked
+        for instance in scheme.instances(ctx):
+            if checked >= per_scheme:
+                truncated = True
+                break
             model = counterexample(instance, ctx.sig)
-        except SignatureError as err:  # too large to tabulate
-            refused = str(err)
-            break
-        checked += 1
-        if model is not None:
-            found = (instance, model)
-            break
+            checked += 1
+            if model is not None:
+                found = (instance, model)
+                break
+    except SignatureError as err:
+        refused = str(err)
     return SchemeResult(scheme.name, checked, truncated, found, refused)
 
 
-def axiom_suite(sig: Signature, budget: Budget | None = None) -> SuiteReport:
-    """Check every scheme over the signature within the budget."""
+def axiom_suite(sig: Signature, budget: Budget | None = None) -> list[SchemeResult]:
+    """Check every scheme over the signature within the budget: one result
+    per scheme, in the order of ``SCHEMES``."""
     budget = budget or Budget()
     ctx = make_context(sig, budget)
-    report = SuiteReport(sig)
-    for scheme in SCHEMES:
-        report.results.append(check_scheme(scheme, ctx, budget.per_scheme))
-    return report
+    return [check_scheme(scheme, ctx, budget.per_scheme) for scheme in SCHEMES]

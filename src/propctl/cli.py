@@ -229,19 +229,22 @@ def _cmd_axioms(args) -> int:
     overrides = {"formula_depth": args.depth}
     if args.limit:
         overrides["per_scheme"] = args.limit
-    report = axiom_suite(sig, Budget(**overrides))
+    results = axiom_suite(sig, Budget(**overrides))
     schemes = []
-    for r in report.results:
+    for r in results:
         entry = {"name": r.name, "ok": r.ok, "checked": r.checked,
                  "truncated": r.truncated, "counterexample": None, "refused": r.refused}
         if r.counterexample is not None:
             instance, model = r.counterexample
             entry["counterexample"] = {"instance": render(instance), "model": model}
         schemes.append(entry)
-    _emit(args, {"command": "axioms", "ok": report.ok, "schemes": schemes}, report.lines())
-    if not report.ok:
+    ok = all(r.ok for r in results)
+    header = f"signature: agents {', '.join(sig.agents)}; vars {', '.join(sig.vars)}"
+    _emit(args, {"command": "axioms", "ok": ok, "schemes": schemes},
+          [header] + [r.line() for r in results])
+    if not ok:
         return 1
-    refused = [r.name for r in report.results if r.refused is not None]
+    refused = [r.name for r in results if r.refused is not None]
     if refused:  # the other schemes were checked, and their lines printed
         print(f"signature error: {len(refused)} of {len(schemes)} scheme(s) refused: "
               f"{', '.join(refused)}", file=sys.stderr)

@@ -17,7 +17,6 @@ from .syntax import Dia, Formula, Not
 
 __all__ = [
     "geq",
-    "delegation_can_achieve",
     "characterize_second_order",
     "grand_coalition_control",
 ]
@@ -38,23 +37,23 @@ def geq(alloc: Allocation, other: Allocation, agent: str) -> bool:
     return True
 
 
-def _reach(sig: Signature, alloc: Allocation, val: Valuation, agent: str,
-           formulas: list[Formula]) -> bool:
-    """Whether the agent can reach a position to make each formula true.
+def characterize_second_order(sig: Signature, alloc: Allocation, val: Valuation,
+                              agent: str, formula: Formula) -> bool:
+    """Table-based decision of second-order control: by first giving
+    variables away and then assigning its remaining ones, the agent must be
+    able to make the formula true, and able to make it false.
 
-    For each formula, some allocation reachable by giving away must have
-    the current valuation in its row of ``dia{agent} formula``: the agent
-    can then steer to a satisfying valuation with the variables it still
-    holds.  The tables come from one walk over all the formulas, in their
-    cut layout, where the agent is named.  The allocations reachable by
-    giving away are those where every variable the agent does not own keeps
-    its owner, so one packed query per formula answers: its table, cut to
-    those rows and to the current valuation's column, is not empty.
+    For each of the two, some allocation reachable by giving away must have
+    the current valuation in its row of ``dia{agent} f``.  Both tables come
+    from one walk, in their cut layout, where the agent is named.  Giving
+    away keeps the owner of every variable the agent does not own, so each
+    table, cut to those rows and to the valuation's column, must not be empty.
     """
     geq(alloc, Allocation.from_index(sig, 0), agent)  # refuses an unknown agent, a foreign allocation
     if val.sig != sig:
         raise SignatureError("valuation built over a different signature")
-    tables, packed = semantics._tables([Dia(frozenset({agent}), f) for f in formulas], sig)
+    tables, packed = semantics._tables(
+        [Dia(frozenset({agent}), f) for f in (formula, Not(formula))], sig)
     layout, me = tables.layout, sig.agent_index[agent]
     position, bits = layout.project(alloc, val.bits)
     reachable = tables.tiled(1 << bits)  # the valuation's column, cut to the reachable rows
@@ -62,20 +61,6 @@ def _reach(sig: Signature, alloc: Allocation, val: Valuation, agent: str,
         if owner != me:
             reachable &= tables.own(frozenset({sig.agents[owner]}), j)
     return all(table & reachable for table in packed)
-
-
-def delegation_can_achieve(sig: Signature, alloc: Allocation, val: Valuation,
-                           agent: str, formula: Formula) -> bool:
-    """Whether the agent can reach a position to make the formula true by
-    first giving variables away and then assigning its remaining ones."""
-    return _reach(sig, alloc, val, agent, [formula])
-
-
-def characterize_second_order(sig: Signature, alloc: Allocation, val: Valuation,
-                              agent: str, formula: Formula) -> bool:
-    """Table-based decision of second-order control: the delegation move
-    must be available both for the formula and for its complement."""
-    return _reach(sig, alloc, val, agent, [formula, Not(formula)])
 
 
 def grand_coalition_control(formula: Formula, sig: Signature) -> bool:

@@ -2,9 +2,9 @@
 
 A model fixes a finite signature (agents and propositional variables), an
 allocation saying which agent owns each variable, and a valuation giving
-every variable a truth value.  Values are immutable; every operation
-returns a fresh model, so models can be hashed, stored in sets, and
-compared structurally.
+every variable a truth value.  Every value of the package (``Value``) is
+immutable and hashable; every operation returns a fresh model, so models
+can be stored in sets and compared structurally.
 """
 
 from __future__ import annotations

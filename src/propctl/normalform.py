@@ -35,10 +35,6 @@ class NormalForm(Value):
 
     __slots__ = ("sig", "rows")
 
-    @property
-    def full_row(self) -> int:
-        return (1 << (1 << len(self.sig.vars))) - 1
-
     def satisfying(self, alloc: Allocation) -> tuple[Valuation, ...]:
         if alloc.sig != self.sig:
             raise SignatureError("allocation built over a different signature")

@@ -3,6 +3,7 @@ reference readings of the library that only tests use."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from typing import NamedTuple
@@ -200,3 +201,31 @@ def random_objective(rng: random.Random, sig: Signature, depth: int) -> Formula:
         return Not(random_objective(rng, sig, depth - 1))
     return Or(random_objective(rng, sig, depth - 1),
               random_objective(rng, sig, depth - 1))
+
+
+def small_terms(sig: Signature, most: int) -> tuple[list[Formula], list[Program]]:
+    """Every core formula and every core program of at most ``most`` nodes
+    over the signature, in a fixed order: by size, then by kind, then by
+    parts.  A leaf is ``true``, an atom or a handover (any giver, variable
+    and receiver); a node above it is ``~``, ``|``, ``dia{C}`` for each
+    coalition C, ``<P>``, ``;``, ``+``, ``*`` or ``?``.  A subterm is one
+    object, shared by every term that holds it."""
+    coalitions = [frozenset(c) for r in range(len(sig.agents) + 1)
+                  for c in itertools.combinations(sig.agents, r)]
+    formulas: list[list] = [[], [TOP, *map(Atom, sig.vars)]]
+    programs: list[list] = [[], [Give(*move) for move in
+                                 itertools.product(sig.agents, sig.vars, sig.agents)]]
+    for n in range(2, most + 1):
+        below = n - 1  # the children's sizes add up to this
+        splits = [(a, below - a) for a in range(1, below)]
+        formulas.append(
+            [Not(f) for f in formulas[below]]
+            + [Or(f, g) for a, b in splits for f in formulas[a] for g in formulas[b]]
+            + [Dia(c, f) for c in coalitions for f in formulas[below]]
+            + [DiaProg(p, f) for a, b in splits for p in programs[a] for f in formulas[b]])
+        programs.append(
+            [kind(p, q) for kind in (Seq, Choice)
+             for a, b in splits for p in programs[a] for q in programs[b]]
+            + [Star(p) for p in programs[below]]
+            + [Test(f) for f in formulas[below]])
+    return [*itertools.chain(*formulas)], [*itertools.chain(*programs)]

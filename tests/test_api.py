@@ -47,7 +47,7 @@ API = {
         NormalForm Not Or ParseError PointedKripkeModel Program Seq Signature
         SignatureError Star TOP Test Top Valuation apply_cvaluation atomic_transfer
         characterize_second_order controls counterexample
-        default_signature delegation_can_achieve enumerate_allocations
+        default_signature enumerate_allocations
         enumerate_models equivalent evaluate geq give_program
         grand_coalition_control nf_to_formula normal_form parse_formula
         parse_model parse_program pointed_of program_image render satisfiable
@@ -59,10 +59,8 @@ API = {
         Scheme.name SchemeResult SchemeResult.checked SchemeResult.counterexample
         SchemeResult.line SchemeResult.name SchemeResult.ok SchemeResult.refused
         SchemeResult.truncated
-        SuiteContext SuiteContext.agents SuiteContext.formulas
-        SuiteContext.objectives SuiteContext.programs
-        SuiteContext.sig SuiteContext.vars SuiteReport SuiteReport.lines
-        SuiteReport.ok SuiteReport.results SuiteReport.sig allocation_axiom
+        SuiteContext SuiteContext.formulas SuiteContext.objectives
+        SuiteContext.programs SuiteContext.sig allocation_axiom
         axiom_suite check_scheme formula_pool make_context objective_pool
         program_pool
     """,
@@ -70,7 +68,7 @@ API = {
         build_parser main
     """,
     "control": """
-        characterize_second_order delegation_can_achieve geq grand_coalition_control
+        characterize_second_order geq grand_coalition_control
     """,
     "decision": """
         counterexample default_signature satisfiable valid
@@ -93,7 +91,7 @@ API = {
         serialize_model
     """,
     "normalform": """
-        NormalForm NormalForm.full_row NormalForm.rows NormalForm.satisfying
+        NormalForm NormalForm.rows NormalForm.satisfying
         NormalForm.sig allocation_description equivalent nf_to_formula normal_form
         valuation_description
     """,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from propctl import cli, semantics
 from propctl.cli import main
 from propctl.decision import default_signature
-from propctl.model import model_from_dict
+from propctl.model import Signature, model_from_dict
 from propctl.syntax import parse_formula, parse_model, parse_program
 
 from helpers import SAMPLE_MODEL_TEXT, sample_model
@@ -316,6 +316,34 @@ def test_axioms_reads_the_coalition_pool_only_as_far_as_needed():
                           preexec_fn=limit_memory)
     assert proc.returncode == 0, proc.stderr
     assert "coalition-composition: ok, 5 instance(s) (truncated)" in proc.stdout
+
+
+def test_axioms_refuses_the_partition_axiom_before_building_it():
+    # At 100 agents the partition axiom holds 4,950 control pairs per
+    # variable; building all of them before refusing the table ends in a
+    # MemoryError under the child's 400 MiB address-space limit.
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["axioms", "--agents", "100", "--vars", "100"]
+    proc = subprocess.run([sys.executable, "-m", "propctl.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+                          preexec_fn=limit_memory)
+    refused = "union-program, comp-program, mix-star, ind-star, allocation-partition, " \
+              "objective-permanence"
+    assert (proc.returncode, proc.stderr) == (
+        3, f"signature error: 6 of 29 scheme(s) refused: {refused}\n")
+    sig = Signature(tuple(map(str, range(1, 101))), tuple(f"p{i}" for i in range(1, 101)))
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"signature: agents {', '.join(sig.agents)}; vars {', '.join(sig.vars)}"
+    assert lines[0].startswith("signature: agents 1, 10, 100, 11,")  # in the signature's order
+    [partition] = [line for line in lines if line.startswith("allocation-partition")]
+    assert partition == ("allocation-partition: refused after 0 instance(s): too large to "
+                         f"tabulate: {100 ** 100} rows of {1 << 100} bits are over the limit "
+                         f"of {semantics._MAX_BITS} bits")
 
 
 def test_import_leaves_out_dataclasses_and_the_axiom_suite(capsys):

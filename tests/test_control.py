@@ -4,12 +4,7 @@ import random
 import pytest
 
 from propctl import semantics
-from propctl.control import (
-    characterize_second_order,
-    delegation_can_achieve,
-    geq,
-    grand_coalition_control,
-)
+from propctl.control import characterize_second_order, geq, grand_coalition_control
 from propctl.decision import satisfiable, valid
 from propctl.model import (
     Allocation,
@@ -167,9 +162,8 @@ def test_second_order_rejects_a_foreign_valuation():
     sig = SIG22
     wide = Signature(sig.agents, ("p", "q", "r", "s"))
     alloc = next(iter(enumerate_allocations(sig)))
-    for decide in (characterize_second_order, delegation_can_achieve):
-        with pytest.raises(SignatureError):
-            decide(sig, alloc, Valuation(wide, 12), "1", Atom("p"))
+    with pytest.raises(SignatureError):
+        characterize_second_order(sig, alloc, Valuation(wide, 12), "1", Atom("p"))
 
 
 def test_geq_matches_give_star_reachability():
@@ -196,7 +190,6 @@ def test_delegation_demo_flip_own_variable():
     # staying in place and flipping p reaches (~p & ~q & r)
     sig, alloc, val = _demo_state()
     goal = parse_formula("~p & ~q & r")
-    assert delegation_can_achieve(sig, alloc, val, "1", goal)
     direct = DiaProg(Star(give_program({"1"}, sig.agents, sig)),
                      Dia(frozenset({"1"}), goal))
     assert evaluate(DirectModel(sig, alloc, val), direct)
@@ -207,7 +200,6 @@ def test_delegation_demo_giving_away_loses_the_flip():
     # can no longer make p false
     sig, alloc, val = _demo_state()
     goal = parse_formula("~p & ~q & r & controls(3,p)")
-    assert not delegation_can_achieve(sig, alloc, val, "1", goal)
     direct = DiaProg(Star(give_program({"1"}, sig.agents, sig)),
                      Dia(frozenset({"1"}), goal))
     assert not evaluate(DirectModel(sig, alloc, val), direct)
@@ -215,10 +207,9 @@ def test_delegation_demo_giving_away_loses_the_flip():
 
 def test_unknown_agent_is_refused_whatever_the_formula():
     sig, alloc, val = _demo_state()
-    for decide in (delegation_can_achieve, characterize_second_order):
-        for formula in (Atom("p"), Not(TOP)):  # with a model, and without one
-            with pytest.raises(SignatureError, match="unknown agent 'zz'"):
-                decide(sig, alloc, val, "zz", formula)
+    for formula in (Atom("p"), Not(TOP)):  # with a model, and without one
+        with pytest.raises(SignatureError, match="unknown agent 'zz'"):
+            characterize_second_order(sig, alloc, val, "zz", formula)
 
 
 def test_characterization_agrees_with_direct_evaluation():

@@ -58,7 +58,7 @@ def test_worked_example_two_branch_table():
 
 def test_top_table_is_full_everywhere():
     nf = normal_form(TOP, SIG22)
-    assert all(row == nf.full_row for row in nf.rows)
+    assert all(row == (1 << (1 << len(SIG22.vars))) - 1 for row in nf.rows)
 
 
 def test_bottom_table_is_empty_everywhere():
@@ -72,7 +72,8 @@ def test_negation_complements_each_row():
         f = random_formula(rng, SIG22, 3)
         nf = normal_form(f, SIG22)
         neg = normal_form(Not(f), SIG22)
-        assert neg.rows == tuple(nf.full_row ^ row for row in nf.rows)
+        full = (1 << (1 << len(SIG22.vars))) - 1
+        assert neg.rows == tuple(full ^ row for row in nf.rows)
 
 
 def test_disjunction_unions_rows_pointwise():

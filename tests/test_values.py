@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from propctl.axioms import Budget, Scheme, SchemeResult, SuiteContext, SuiteReport
+from propctl.axioms import Budget, Scheme, SchemeResult, SuiteContext
 from propctl import model
 from propctl.kripke import PointedKripkeModel
 from propctl.model import (
@@ -47,7 +47,7 @@ def samples() -> list:
             DirectModel(sig, alloc, val), CValuation({"1"}, ["p"], {"p"}),
             NormalForm(sig, (1, 2, 3, 0)), PointedKripkeModel(sig, alloc, val),
             Budget(**{"per_scheme": 5}), SuiteContext(sig, (TOP, p), (p,), (g,)),
-            Scheme("k", len), SchemeResult("k", 3, True), SuiteReport(sig)]
+            Scheme("k", len), SchemeResult("k", 3, True)]
 
 
 _SIG = "Signature(agents=('1', '2'), vars=('p', 'q'))"
@@ -82,7 +82,6 @@ REPRS = [
     f"objectives=(Atom(name='p'),), programs=({_GIVE},))",
     "Scheme(name='k', instances=<built-in function len>)",
     "SchemeResult(name='k', checked=3, truncated=True, counterexample=None, refused=None)",
-    f"SuiteReport(sig={_SIG}, results=[])",
 ]
 
 
@@ -127,10 +126,7 @@ def test_repr_through_a_tuple_of_values_is_bounded_in_time():
 def test_equal_fields_are_equal_with_equal_hashes():
     for value, twin in zip(samples(), samples()):
         assert value == twin and not value != twin
-        if not isinstance(value, SuiteReport):  # its results are a list
-            assert hash(value) == hash(twin)
-    with pytest.raises(TypeError):
-        hash(SuiteReport(Signature(("1",), ("p",))))
+        assert hash(value) == hash(twin)
 
 
 def test_kinds_differ_even_with_the_same_fields():
@@ -159,10 +155,6 @@ def test_keywords_and_defaults():
     assert Budget().per_scheme == 300
     assert Or(right=Atom("q"), left=Atom("p")) == Or(Atom("p"), Atom("q"))
     assert SchemeResult("k", 1, False).counterexample is None
-    sig = Signature(("1",), ("p",))
-    first, second = SuiteReport(sig), SuiteReport(sig=sig)
-    first.results.append(SchemeResult("k", 1, False))
-    assert second.results == [] and first != second
     with pytest.raises(TypeError):
         Or(Atom("p"))
 
